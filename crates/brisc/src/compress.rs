@@ -9,14 +9,15 @@
 //! then compacting specializations); the hunt stops when a pass yields
 //! fewer than `K` positive candidates.
 
-use crate::entry::{DictEntry, FieldKind, ImmEnc, InstPattern, PatternField};
+use crate::entry::{DictEntry, FieldKind, ImmEnc, InstPattern, PatternField, MAX_ENTRY_PATTERNS};
 use crate::image::{assemble_with, BriscImage, FuncItems, Item};
 use crate::BriscError;
 use codecomp_core::dict::{select_top_k, Benefit, MemoryRegime, PassPolicy};
-use codecomp_vm::encode::{fields, Field};
+use codecomp_vm::encode::{base_op, fields, BaseOp, Field};
 use codecomp_vm::isa::Inst;
 use codecomp_vm::program::{VmFunction, VmProgram};
 use codecomp_vm::reg::Reg;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// Compressor knobs; the default matches the paper (`K = 20`, order-1
@@ -111,7 +112,6 @@ pub fn compress(program: &VmProgram, options: BriscOptions) -> Result<BriscRepor
     let input_bytes = codecomp_vm::encode::code_segment_size(program);
     let mut dictionary: Vec<DictEntry> = Vec::new();
     let mut dict_index: HashMap<DictEntry, u32> = HashMap::new();
-    let mut seen: HashSet<DictEntry> = HashSet::new();
 
     // ---- build the initial item sequence (base entries only) ----
     let mut funcs = Vec::with_capacity(program.functions.len());
@@ -119,9 +119,6 @@ pub fn compress(program: &VmProgram, options: BriscOptions) -> Result<BriscRepor
         funcs.push(build_cfunc(f, options, &mut dictionary, &mut dict_index)?);
     }
     let base_entries = dictionary.len();
-    for e in &dictionary {
-        seen.insert(e.clone());
-    }
 
     // ---- greedy passes ----
     let policy = PassPolicy {
@@ -131,63 +128,52 @@ pub fn compress(program: &VmProgram, options: BriscOptions) -> Result<BriscRepor
     };
     let mut passes = 0usize;
     let mut candidates_tested = 0usize;
-    let mut seen_keys: HashSet<CandKey> = HashSet::new();
+    let mut keys = KeyTable::default();
+    // Items whose entry id is at least this were rewritten by the last
+    // pass; only their sites can yield keys not yet in `keys`.
+    let mut dirty_from = 0u32;
     loop {
         passes += 1;
         let entry_bits: Vec<u32> = dictionary.iter().map(DictEntry::wildcard_bits).collect();
-        let mut candidates: HashMap<CandKey, (i64, u64)> = HashMap::new(); // total_saved, sites
         for f in &funcs {
-            generate_candidates(
-                f,
-                &dictionary,
-                &entry_bits,
-                options,
-                &seen_keys,
-                &mut candidates,
-            );
+            generate_candidates(f, dirty_from, &dictionary, &entry_bits, options, &mut keys);
         }
-        candidates_tested += candidates.len();
+        let fresh = keys.finish_pass();
+        candidates_tested += fresh.len();
         // Materialize once per unique key; merge keys that denote the
-        // same resulting pattern; drop entries already in the dictionary
-        // or previously rejected ("a hash table of previously generated
-        // candidates").
-        let mut merged: HashMap<DictEntry, (i64, u64)> = HashMap::new();
-        for (key, (saved, sites)) in &candidates {
-            let entry = materialize(*key, &dictionary);
-            if seen.contains(&entry) {
-                continue;
+        // same resulting pattern; drop entries already in the dictionary.
+        let mut merged: HashMap<DictEntry, i64> = HashMap::with_capacity(fresh.len());
+        for (key, saved) in fresh {
+            let entry = materialize(key, &dictionary);
+            if !dict_index.contains_key(&entry) {
+                *merged.entry(entry).or_insert(0) += saved;
             }
-            let e = merged.entry(entry).or_insert((0, 0));
-            e.0 += saved;
-            e.1 += sites;
         }
-        for key in candidates.into_keys() {
-            seen_keys.insert(key);
-        }
-        let scored: Vec<(DictEntry, Benefit)> = {
-            let mut v: Vec<(DictEntry, (i64, u64))> = merged.into_iter().collect();
-            // Deterministic order for tie-breaking inside select_top_k.
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v.into_iter()
-                .map(|(entry, (total_saved, _sites))| {
-                    let p =
-                        total_saved - entry.dict_bytes() as i64 - i64::from(options.table_charge);
-                    let w = entry.native_table_cost() as i64;
-                    (
-                        entry,
-                        Benefit {
-                            size_reduction: p,
-                            table_cost: w,
-                        },
-                    )
-                })
-                .collect()
-        };
+        // Only positive candidates can be adopted, so the rest are
+        // dropped before the sort; the order among those kept, and so
+        // `select_top_k`'s tie-breaking, is unchanged. `W >= 0`, so
+        // `P <= 0` rules a candidate out before `W` is computed.
+        let mut scored: Vec<(DictEntry, Benefit)> = merged
+            .into_iter()
+            .filter_map(|(entry, total_saved)| {
+                let p = total_saved - entry.dict_bytes() as i64 - i64::from(options.table_charge);
+                if p <= 0 {
+                    return None;
+                }
+                let benefit = Benefit {
+                    size_reduction: p,
+                    table_cost: entry.native_table_cost() as i64,
+                };
+                (options.regime.score(benefit) > 0).then_some((entry, benefit))
+            })
+            .collect();
+        // Deterministic order for tie-breaking inside select_top_k.
+        scored.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let adopted = select_top_k(scored, options.k, options.regime);
         let adopted_count = adopted.len();
+        dirty_from = dictionary.len() as u32;
         let mut new_ids = Vec::with_capacity(adopted_count);
         for (entry, _) in adopted {
-            seen.insert(entry.clone());
             let id = dictionary.len() as u32;
             dict_index.insert(entry.clone(), id);
             dictionary.push(entry);
@@ -415,23 +401,60 @@ enum CandKey {
     },
 }
 
-/// Applies a spec to an entry, producing the materialized pattern.
-fn apply_spec(entry: &DictEntry, spec: SpecDesc) -> DictEntry {
+/// Every candidate key generated so far. A key is tested in the pass
+/// that first generates it and never again ("a hash table of previously
+/// generated candidates").
+#[derive(Default)]
+struct KeyTable {
+    /// The bytes each key's sites saved in the current pass, or
+    /// [`KeyTable::RETIRED`] for keys an earlier pass generated.
+    tallies: HashMap<CandKey, i64>,
+    /// The keys the current pass generated.
+    fresh: Vec<CandKey>,
+}
+
+impl KeyTable {
+    /// The tally of a key from an earlier pass; a counted site saves at
+    /// least one byte, so no current tally is zero.
+    const RETIRED: i64 = 0;
+
+    /// Counts one site of `key` saving `saved > 0` bytes, unless an
+    /// earlier pass generated the key.
+    fn count(&mut self, key: CandKey, saved: i64) {
+        match self.tallies.entry(key) {
+            Entry::Vacant(v) => {
+                v.insert(saved);
+                self.fresh.push(key);
+            }
+            Entry::Occupied(mut o) if *o.get() != Self::RETIRED => *o.get_mut() += saved,
+            Entry::Occupied(_) => {}
+        }
+    }
+
+    /// Ends a pass: the keys it generated with the bytes their sites
+    /// saved. The keys stay in the table, retired.
+    fn finish_pass(&mut self) -> impl ExactSizeIterator<Item = (CandKey, i64)> + '_ {
+        self.fresh.drain(..).map(|key| {
+            let saved = self.tallies.get_mut(&key).expect("fresh keys are tallied");
+            (key, std::mem::replace(saved, Self::RETIRED))
+        })
+    }
+}
+
+/// Applies a spec to the component patterns of `entry` from `first` on.
+fn apply_spec(entry: &mut DictEntry, first: usize, spec: SpecDesc) {
     match spec {
-        SpecDesc::Identity => entry.clone(),
+        SpecDesc::Identity => {}
         SpecDesc::Burn { pi, fi, v } => {
-            let mut e = entry.clone();
-            e.patterns[usize::from(pi)].fields[usize::from(fi)] = PatternField::Burned(match v {
-                FieldVal::Reg(n) => Field::Reg(Reg::new(n)),
-                FieldVal::Imm(i) => Field::Imm(i),
-            });
-            e
+            entry.patterns[first + usize::from(pi)].fields[usize::from(fi)] =
+                PatternField::Burned(match v {
+                    FieldVal::Reg(n) => Field::Reg(Reg::new(n)),
+                    FieldVal::Imm(i) => Field::Imm(i),
+                });
         }
         SpecDesc::X4 { pi, fi } => {
-            let mut e = entry.clone();
-            e.patterns[usize::from(pi)].fields[usize::from(fi)] =
+            entry.patterns[first + usize::from(pi)].fields[usize::from(fi)] =
                 PatternField::Wildcard(FieldKind::Imm(ImmEnc::X4));
-            e
         }
     }
 }
@@ -439,11 +462,18 @@ fn apply_spec(entry: &DictEntry, spec: SpecDesc) -> DictEntry {
 /// Materializes a candidate key into a dictionary entry.
 fn materialize(key: CandKey, dictionary: &[DictEntry]) -> DictEntry {
     match key {
-        CandKey::Single { entry, spec } => apply_spec(&dictionary[entry as usize], spec),
-        CandKey::Pair { a, sa, b, sb } => DictEntry::combined(
-            &apply_spec(&dictionary[a as usize], sa),
-            &apply_spec(&dictionary[b as usize], sb),
-        ),
+        CandKey::Single { entry, spec } => {
+            let mut e = dictionary[entry as usize].clone();
+            apply_spec(&mut e, 0, spec);
+            e
+        }
+        CandKey::Pair { a, sa, b, sb } => {
+            let a = &dictionary[a as usize];
+            let mut e = DictEntry::combined(a, &dictionary[b as usize]);
+            apply_spec(&mut e, 0, sa);
+            apply_spec(&mut e, a.len(), sb);
+            e
+        }
     }
 }
 
@@ -528,64 +558,81 @@ fn can_lead_combination(item: &CItem) -> bool {
         )
 }
 
+/// Counts the candidate keys at one function's dirty sites: the items
+/// with `entry >= dirty_from` and the adjacent pairs with a dirty member.
+///
+/// A site's keys depend only on its item, its successor and the
+/// successor's leader flag, and every key a pass counts stays in `keys`.
+/// A site the last rewrite left alone therefore yields only keys that
+/// earlier passes generated or that fail the size test again, so
+/// skipping it leaves the pass's candidate table unchanged.
 fn generate_candidates(
     f: &CFunc,
+    dirty_from: u32,
     dictionary: &[DictEntry],
     entry_bits: &[u32],
     options: BriscOptions,
-    seen_keys: &HashSet<CandKey>,
-    candidates: &mut HashMap<CandKey, (i64, u64)>,
+    keys: &mut KeyTable,
 ) {
     let inst_bytes = |bits: u32| 1 + (bits as usize).div_ceil(8);
     let mut consider = |key: CandKey, old_bytes: usize, new_bytes: usize| {
-        if new_bytes >= old_bytes || seen_keys.contains(&key) {
-            return;
+        if new_bytes < old_bytes {
+            keys.count(key, (old_bytes - new_bytes) as i64);
         }
-        let e = candidates.entry(key).or_insert((0, 0));
-        e.0 += (old_bytes - new_bytes) as i64;
-        e.1 += 1;
     };
 
     let mut specs_a: Vec<SpecDesc> = Vec::new();
     let mut specs_b: Vec<SpecDesc> = Vec::new();
     for (i, item) in f.items.iter().enumerate() {
+        let next = f.items.get(i + 1);
+        let dirty = item.entry >= dirty_from;
+        if !dirty && next.is_none_or(|n| n.entry < dirty_from) {
+            continue;
+        }
         let entry = &dictionary[item.entry as usize];
         let bits = entry_bits[item.entry as usize];
         let old = inst_bytes(bits);
         specs_of(entry, &item.insts, options, &mut specs_a);
-        for &spec in &specs_a {
-            consider(
-                CandKey::Single {
-                    entry: item.entry,
-                    spec,
-                },
-                old,
-                inst_bytes(bits_after(entry, bits, spec)),
-            );
+        if dirty {
+            for &spec in &specs_a {
+                consider(
+                    CandKey::Single {
+                        entry: item.entry,
+                        spec,
+                    },
+                    old,
+                    inst_bytes(bits_after(entry, bits, spec)),
+                );
+            }
         }
-        if options.combination && i + 1 < f.items.len() {
-            let next = &f.items[i + 1];
-            if !f.leaders[i + 1] && can_lead_combination(item) {
-                let next_entry = &dictionary[next.entry as usize];
-                let next_bits = entry_bits[next.entry as usize];
-                let pair_old = old + inst_bytes(next_bits);
-                specs_of(next_entry, &next.insts, options, &mut specs_b);
-                for sa in std::iter::once(SpecDesc::Identity).chain(specs_a.iter().copied()) {
-                    let a_bits = bits_after(entry, bits, sa);
-                    for sb in std::iter::once(SpecDesc::Identity).chain(specs_b.iter().copied()) {
-                        let b_bits = bits_after(next_entry, next_bits, sb);
-                        consider(
-                            CandKey::Pair {
-                                a: item.entry,
-                                sa,
-                                b: next.entry,
-                                sb,
-                            },
-                            pair_old,
-                            inst_bytes(a_bits + b_bits),
-                        );
-                    }
-                }
+        let Some(next) = next else {
+            continue;
+        };
+        if !options.combination
+            || f.leaders[i + 1]
+            || !can_lead_combination(item)
+            || item.insts.len() + next.insts.len() > MAX_ENTRY_PATTERNS
+        {
+            continue;
+        }
+        let next_entry = &dictionary[next.entry as usize];
+        let next_bits = entry_bits[next.entry as usize];
+        let pair_old = old + inst_bytes(next_bits);
+        specs_of(next_entry, &next.insts, options, &mut specs_b);
+        for sa in std::iter::once(SpecDesc::Identity).chain(specs_a.iter().copied()) {
+            let a_bits = bits_after(entry, bits, sa);
+            for sb in std::iter::once(SpecDesc::Identity).chain(specs_b.iter().copied()) {
+                let b_bits = bits_after(next_entry, next_bits, sb);
+                consider(
+                    CandKey::Pair {
+                        a: item.entry,
+                        sa,
+                        b: next.entry,
+                        sb,
+                    },
+                    pair_old,
+                    inst_bytes(a_bits + b_bits),
+                );
             }
         }
     }
@@ -593,77 +640,89 @@ fn generate_candidates(
 
 // ---- program rewriting ----------------------------------------------------------
 
-fn rewrite(f: &mut CFunc, dictionary: &[DictEntry], new_ids: &[u32]) {
-    let new_combined: Vec<u32> = new_ids
+/// An entry adopted this pass, with what rewriting tests first.
+struct NewEntry<'d> {
+    id: u32,
+    entry: &'d DictEntry,
+    first_base: BaseOp,
+    bytes: usize,
+}
+
+/// The first (in adoption order) of the smallest new entries that match
+/// `insts` and beat the item's current size. A sequence only matches
+/// entries whose first pattern has its first instruction's base op, which
+/// rules most items out before any size is computed.
+fn best_match<'a>(
+    new: &[NewEntry<'_>],
+    insts: impl Iterator<Item = &'a Inst> + Clone,
+    len: usize,
+    current_bytes: impl FnOnce() -> usize,
+) -> Option<u32> {
+    let first_base = base_op(insts.clone().next()?);
+    let mut fits = new
         .iter()
-        .copied()
-        .filter(|&id| dictionary[id as usize].len() > 1)
+        .filter(|n| n.first_base == first_base && n.entry.len() == len)
+        .peekable();
+    fits.peek()?;
+    let current_bytes = current_bytes();
+    fits.filter(|n| n.bytes < current_bytes && n.entry.matches_seq(insts.clone()))
+        .min_by_key(|n| n.bytes)
+        .map(|n| n.id)
+}
+
+fn rewrite(f: &mut CFunc, dictionary: &[DictEntry], new_ids: &[u32]) {
+    let new: Vec<NewEntry<'_>> = new_ids
+        .iter()
+        .map(|&id| {
+            let entry = &dictionary[id as usize];
+            NewEntry {
+                id,
+                entry,
+                first_base: entry.patterns[0].base,
+                bytes: entry.instance_bytes(),
+            }
+        })
         .collect();
+    let bytes_of = |id: u32| dictionary[id as usize].instance_bytes();
 
     // Phase 1: combinations, greedy left-to-right, best (smallest) match
     // per pair ("on each pass, there can only be one new instruction
     // pattern that applies to a particular pair").
-    let mut items = Vec::with_capacity(f.items.len());
-    let mut leaders = Vec::with_capacity(f.leaders.len());
-    let mut i = 0usize;
-    while i < f.items.len() {
-        let mut merged = false;
-        if i + 1 < f.items.len() && !f.leaders[i + 1] && can_lead_combination(&f.items[i]) {
-            let a = &f.items[i];
-            let b = &f.items[i + 1];
-            let combined_len = a.insts.len() + b.insts.len();
-            let concat: Vec<&Inst> = a.insts.iter().chain(&b.insts).collect();
-            let old_bytes = dictionary[a.entry as usize].instance_bytes()
-                + dictionary[b.entry as usize].instance_bytes();
-            let best = new_combined
-                .iter()
-                .copied()
-                .filter(|&id| {
-                    let e = &dictionary[id as usize];
-                    e.len() == combined_len
-                        && e.instance_bytes() < old_bytes
-                        && e.matches_seq(&concat)
-                })
-                .min_by_key(|&id| dictionary[id as usize].instance_bytes());
-            if let Some(id) = best {
-                items.push(CItem {
-                    entry: id,
-                    insts: concat.into_iter().cloned().collect(),
-                    first_inst: a.first_inst,
-                });
-                leaders.push(f.leaders[i]);
-                i += 2;
-                merged = true;
+    if new.iter().any(|n| n.entry.len() > 1) {
+        let n = f.items.len();
+        let items = std::mem::replace(&mut f.items, Vec::with_capacity(n));
+        let leaders = std::mem::replace(&mut f.leaders, Vec::with_capacity(n));
+        let mut rest = items.into_iter().zip(leaders).peekable();
+        while let Some((mut a, leader)) = rest.next() {
+            if let Some((b, false)) = rest.peek() {
+                if can_lead_combination(&a) {
+                    let best = best_match(
+                        &new,
+                        a.insts.iter().chain(&b.insts),
+                        a.insts.len() + b.insts.len(),
+                        || bytes_of(a.entry) + bytes_of(b.entry),
+                    );
+                    if let Some(id) = best {
+                        let (b, _) = rest.next().expect("peeked");
+                        a.entry = id;
+                        a.insts.reserve_exact(b.insts.len());
+                        a.insts.extend(b.insts);
+                    }
+                }
             }
-        }
-        if !merged {
-            items.push(f.items[i].clone());
-            leaders.push(f.leaders[i]);
-            i += 1;
+            f.items.push(a);
+            f.leaders.push(leader);
         }
     }
 
     // Phase 2: compacting specializations over all new entries.
-    for item in &mut items {
-        let current_bytes = dictionary[item.entry as usize].instance_bytes();
-        let refs: Vec<&Inst> = item.insts.iter().collect();
-        let best = new_ids
-            .iter()
-            .copied()
-            .filter(|&id| {
-                let e = &dictionary[id as usize];
-                e.len() == item.insts.len()
-                    && e.instance_bytes() < current_bytes
-                    && e.matches_seq(&refs)
-            })
-            .min_by_key(|&id| dictionary[id as usize].instance_bytes());
-        if let Some(id) = best {
+    for item in &mut f.items {
+        if let Some(id) = best_match(&new, item.insts.iter(), item.insts.len(), || {
+            bytes_of(item.entry)
+        }) {
             item.entry = id;
         }
     }
-
-    f.items = items;
-    f.leaders = leaders;
 }
 
 #[cfg(test)]
@@ -793,6 +852,34 @@ mod tests {
         )
         .unwrap();
         assert!(report.image.order0);
+    }
+
+    #[test]
+    fn entries_stay_within_the_decoder_pattern_cap() {
+        // Twelve copies of one long straight-line body: the combinations
+        // of each pass double in length, so without the cap the
+        // compressor adopts an 18-instruction entry that
+        // `BriscImage::from_bytes` rejects. (The smallest synthetic
+        // program found to trip the cap, seed 1 at 410 functions, takes
+        // too long to compress in a debug build.)
+        let body: String = (0..24)
+            .map(|i| format!("g{} = g{} + a * {} - b;\n", i % 6, (i + 1) % 6, i % 5 + 1))
+            .collect();
+        let mut src = String::from("int g0; int g1; int g2; int g3; int g4; int g5;\n");
+        for f in 0..12 {
+            src.push_str(&format!(
+                "int f{f}(int a, int b) {{\n{body}return g0;\n}}\n"
+            ));
+        }
+        src.push_str("int main() { return f0(1, 2) + f11(3, 4); }\n");
+        let report = compress(&vm_program(&src), BriscOptions::default()).unwrap();
+        let longest = report.image.dictionary.iter().map(DictEntry::len).max();
+        assert!(
+            longest <= Some(MAX_ENTRY_PATTERNS),
+            "longest entry {longest:?}"
+        );
+        let back = BriscImage::from_bytes(&report.image.to_bytes()).unwrap();
+        assert_eq!(back, report.image);
     }
 
     #[test]

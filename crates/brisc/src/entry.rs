@@ -229,6 +229,10 @@ impl std::fmt::Display for InstPattern {
     }
 }
 
+/// The most component patterns one dictionary entry may hold. The image
+/// format rejects longer entries, so the compressor never builds them.
+pub const MAX_ENTRY_PATTERNS: usize = 16;
+
 /// A dictionary entry: one pattern, or an opcode-combined sequence.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DictEntry {
@@ -296,10 +300,14 @@ impl DictEntry {
         (x86.bytes().len() + fixed) / 2
     }
 
-    /// Whether every component of `insts` matches in order.
-    pub fn matches_seq(&self, insts: &[&Inst]) -> bool {
-        insts.len() == self.patterns.len()
-            && self.patterns.iter().zip(insts).all(|(p, i)| p.matches(i))
+    /// Whether `insts` has one instruction per component and each
+    /// matches its component in order.
+    pub fn matches_seq<'a>(&self, insts: impl IntoIterator<Item = &'a Inst>) -> bool {
+        let mut insts = insts.into_iter();
+        self.patterns
+            .iter()
+            .all(|p| insts.next().is_some_and(|i| p.matches(i)))
+            && insts.next().is_none()
     }
 }
 
@@ -440,10 +448,11 @@ mod tests {
             &DictEntry::single(InstPattern::base_of(&a)),
             &DictEntry::single(InstPattern::base_of(&b)),
         );
-        assert!(e.matches_seq(&[&a, &b]));
-        assert!(e.matches_seq(&[&b, &a]), "all-wildcard movs match any movs");
-        assert!(!e.matches_seq(&[&a]));
-        assert!(!e.matches_seq(&[&a, &inst("li n0,1")]));
+        assert!(e.matches_seq([&a, &b]));
+        assert!(e.matches_seq([&b, &a]), "all-wildcard movs match any movs");
+        assert!(!e.matches_seq([&a]));
+        assert!(!e.matches_seq([&a, &b, &a]));
+        assert!(!e.matches_seq([&a, &inst("li n0,1")]));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! offsets, so the code is randomly addressable at basic-block
 //! granularity — the property that makes in-place interpretation work.
 
-use crate::entry::{DictEntry, FieldKind, ImmEnc, InstPattern, PatternField};
+use crate::entry::{DictEntry, FieldKind, ImmEnc, InstPattern, PatternField, MAX_ENTRY_PATTERNS};
 use crate::markov::{MarkovTables, BLOCK_START};
 use crate::BriscError;
 use codecomp_coding::bits::{BitReader, BitWriter};
@@ -570,7 +570,7 @@ pub fn serialize_entry(entry: &DictEntry) -> Vec<u8> {
 
 fn deserialize_entry(r: &mut Rd<'_>) -> Result<DictEntry, BriscError> {
     let n = r.usize_varint()?;
-    if n == 0 || n > 16 {
+    if n == 0 || n > MAX_ENTRY_PATTERNS {
         cov_hit!("brisc.entry.bad_pattern_count");
         return Err(BriscError::Corrupt(format!("bad pattern count {n}")));
     }

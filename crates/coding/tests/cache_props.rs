@@ -183,7 +183,7 @@ fn eviction_keeps_the_most_recent_accesses() {
         lookup(&cache, &[0xFF], serial);
         touch(&mut order, 0xFF);
         assert!(cache.len() <= CAPACITY / 2 + 1, "eviction kept too much");
-        let survivors = (CAPACITY + 1) / 2;
+        let survivors = CAPACITY.div_ceil(2);
         for &k in order.iter().rev().take(survivors) {
             serial += 1;
             let (_, built) = lookup(&cache, &[k], serial);

@@ -29,7 +29,7 @@ fn leaf(rng: &mut XorShift64) -> Tree {
         0 => Tree::cnst_auto(rng.range_i64(-300_000, 300_000)),
         1 => Tree::addr_local(rng.range_i64(-500, 500) as i32),
         2 => Tree::addr_formal(rng.range_i64(0, 64) as i32),
-        _ => Tree::addr_global(&ident(rng)),
+        _ => Tree::addr_global(ident(rng)),
     }
 }
 

@@ -17,7 +17,7 @@ use codecomp_serve::channel::{DeliveryOutcome, FaultyChannel, Transport};
 use codecomp_serve::client::{ClientConfig, FetchClient, WireEvent};
 use codecomp_serve::retry::RetryPolicy;
 use codecomp_serve::server::{ModuleServer, ServeError, ServerConfig};
-use codecomp_serve::soak::{corrupt_units, run_soak, ChannelKind, SoakConfig};
+use codecomp_serve::soak::{corrupt_units, run_soak, SoakConfig};
 use codecomp_serve::{MILLI, SECOND};
 use codecomp_wire::demand::DemandImage;
 use codecomp_wire::WireOptions;
@@ -155,7 +155,7 @@ fn soak_sheds_under_overload_and_still_survives() {
         fault_den: 100,
         think_time: 1, // hammer arrivals
         workers: 1,
-        max_queue_wait: 1 * MILLI,
+        max_queue_wait: MILLI,
         decode_rate: 100_000.0, // slow virtual decoder
         ..SoakConfig::default()
     };

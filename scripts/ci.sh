@@ -10,8 +10,13 @@ cargo build --release --offline
 echo "==> cargo test -q"
 cargo test -q --offline
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets --offline -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
+# The pipeline benchmark is a package of its own; run its self-tests
+# (read-only: they build and check, they write no results).
+echo "==> pipebench self-tests"
+cargo test -q --offline --manifest-path pipebench/Cargo.toml
 
 # Differential smoke: the full suite already ran under `cargo test`
 # with the default mutation budget; re-run the seeded fuzz here with a
