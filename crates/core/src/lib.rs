@@ -14,9 +14,6 @@
 //! - [`dict`]: the greedy benefit-driven dictionary construction the
 //!   BRISC compressor uses (`B = P − W`, heap of candidates, top-`K` per
 //!   pass, stop when a pass yields fewer than `K` positive candidates).
-//! - [`entropy`]: size and entropy helpers shared by the ablation
-//!   experiments.
-
 //! - [`error`]: the shared [`DecodeError`] taxonomy every decoder in the
 //!   workspace folds into at its public boundary.
 //! - [`limits`]: per-call decode resource governance — [`DecodeLimits`]
@@ -35,7 +32,6 @@
 
 pub mod coverage;
 pub mod dict;
-pub mod entropy;
 pub mod error;
 pub mod fault;
 pub mod fuzz;

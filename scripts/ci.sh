@@ -26,19 +26,6 @@ echo "==> differential fuzz smoke (~500 mutations)"
 CODECOMP_DIFF_MUTATIONS=84 cargo test -q --offline --test differential \
     seeded_mutations -- --nocapture
 
-# Ratio-regression smoke: compress the corpus payload at every level
-# and assert the compressed size stays within 1% of the baseline
-# recorded in BENCH_deflate.json (no timing — deterministic).
-echo "==> deflate ratio smoke (corpus size within 1% per level)"
-cargo run --release --offline -q -p codecomp-bench --bin bench_deflate -- --ratio-smoke
-
-# Wire decode smoke: round-trip the full corpus byte-exactly and gate
-# decode throughput against a fixed floor well below the measured
-# figure — catches a cached-table decode-path regression without being
-# sensitive to machine speed.
-echo "==> wire decode smoke (byte-exact roundtrip + throughput floor)"
-cargo run --release --offline -q -p codecomp-bench --bin bench_wire -- --decode-smoke
-
 # Low-limits fault-injection smoke: decode every corpus program under
 # starved DecodeLimits (all knobs below the measured footprint) and
 # hammer the decoded-structure mutators. Every failure must surface as

@@ -236,6 +236,40 @@ fn level_matrix_roundtrips_and_orders_sizes() {
     }
 }
 
+/// Exact compressed size per level on a 1 MiB corpus-derived payload:
+/// the corpus sources followed by distinct synthetic translation units
+/// (seeds 1, 2, …), truncated. Pins the match finder's ratio: a change
+/// that alters a size on purpose updates the pin in the same commit.
+#[test]
+fn level_sizes_on_the_corpus_payload_are_pinned() {
+    const PAYLOAD_LEN: usize = 1 << 20;
+    let mut data = Vec::with_capacity(PAYLOAD_LEN + 4096);
+    for b in benchmarks() {
+        data.extend_from_slice(b.source.as_bytes());
+    }
+    let mut seed = 1u64;
+    while data.len() < PAYLOAD_LEN {
+        data.extend_from_slice(synthetic(seed, SynthConfig::default()).as_bytes());
+        seed += 1;
+    }
+    data.truncate(PAYLOAD_LEN);
+
+    let pins = [
+        ("fast", CompressionLevel::Fast, 177_651),
+        ("default", CompressionLevel::Default, 161_241),
+        ("best", CompressionLevel::Best, 147_879),
+    ];
+    for (lname, level, want) in pins {
+        let packed = deflate_compress(&data, level);
+        assert_eq!(
+            inflate(&packed).expect("fast decoder accepts valid stream"),
+            data,
+            "{lname}: inflate output differs from input"
+        );
+        assert_eq!(packed.len(), want, "{lname}: compressed size moved");
+    }
+}
+
 /// Hand-authored valid and invalid vectors targeting RFC 1951 corners.
 #[test]
 fn edge_case_vectors_agree() {
