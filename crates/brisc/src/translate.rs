@@ -38,6 +38,7 @@ pub fn translate_budgeted(
     image: &BriscImage,
     budget: &codecomp_core::Budget,
 ) -> Result<VmProgram, BriscError> {
+    let _stage = codecomp_core::telemetry::stage("brisc.translate");
     let mut program = VmProgram::new();
     program.globals = image
         .globals

@@ -25,10 +25,11 @@
 //!   ([`cov_hit!`]) and [`fuzz`]: the coverage-guided campaign driver
 //!   built on it.
 //! - [`telemetry`]: zero-dependency observability — the metrics
-//!   [`telemetry::Registry`] and structured [`telemetry::TraceSink`]
-//!   every pipeline stage reports into when a collector is installed.
-//! - [`profile`]: feature-gated sampling self-profiler emitting
-//!   collapsed-stack (flamegraph) output from scoped stage markers.
+//!   [`telemetry::Registry`], structured [`telemetry::TraceSink`] and
+//!   the nesting [`telemetry::stage`] timer every pipeline stage
+//!   reports into when a collector is installed.
+//! - [`profile`]: sampling self-profiler emitting collapsed-stack
+//!   (flamegraph) output from the open stage path.
 
 pub mod coverage;
 pub mod dict;

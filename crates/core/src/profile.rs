@@ -1,98 +1,141 @@
-//! In-tree sampling self-profiler (feature `profile`).
+//! In-tree sampling self-profiler.
 //!
 //! The paper's performance claims are about where decode time goes —
 //! framing, entropy decoding, MTF, tree reassembly — and the
-//! `DecodeStats` nanosecond counters answer *how much* but not *in
-//! what shape*. This module answers the shape question with zero
-//! dependencies: instrumented stages push scoped markers
-//! ([`scope`]) onto a per-thread stack, and elapsed time (or explicit
-//! virtual [`tick`]s) is credited to the current stack at a sampling
-//! period, accumulating into collapsed-stack counts — the
-//! `a;b;c count` format every flamegraph renderer consumes.
+//! per-stage self times answer *how much* but not *in what shape*.
+//! This module answers the shape question with zero dependencies: it
+//! credits elapsed time (or explicit virtual [`tick`]s) to the calling
+//! thread's open [`telemetry::stage`] path at a sampling period,
+//! accumulating collapsed-stack counts — the `a;b;c count` format
+//! every flamegraph renderer consumes.
 //!
-//! Like [`crate::coverage`], the whole module compiles to empty
-//! `#[inline(always)]` stubs unless the `profile` cargo feature is
-//! enabled, so instrumented hot paths cost literally nothing in normal
-//! builds. With the feature on, a scope transition is two `Instant`
-//! reads plus a thread-local update; the global sample map is only
-//! locked when a period boundary credits samples.
+//! The profiler is a sink of the one stage primitive, not a second
+//! set of markers: it reads the stage stack and is fed the stage
+//! clock reads at every entry and exit. Disarmed (the default) it
+//! costs nothing; arming either clock turns stages on.
 //!
 //! Two clocks are supported:
 //!
-//! - **wall** — scope enter/exit measures real elapsed nanoseconds;
-//!   [`set_wall_period_nanos`] arms it with a sampling period
-//!   (disarmed by default, so instrumented builds stay cheap until a
-//!   driver asks). This is what `codecomp profile <subcommand>` uses.
-//! - **virtual** — deterministic callers (the soak's virtual event
-//!   loop, unit tests) disable the wall clock
-//!   (`set_wall_period_nanos(0)`) and call [`tick`] with explicit
-//!   units; [`set_virtual_period`] controls the crediting granularity.
+//! - **wall** — [`set_wall_period_nanos`] arms it with a sampling
+//!   period; every stage transition credits the nanoseconds since the
+//!   previous one to the path as it was. This is what `codecomp
+//!   profile <subcommand>` uses.
+//! - **virtual** — deterministic callers (unit tests) arm
+//!   [`set_virtual_period`] and call [`tick`] with explicit units.
 //!   Same inputs, same collapsed output, byte for byte.
 //!
 //! The collapsed output ([`render_collapsed`]) is validated by
 //! [`validate_collapsed_line`], which `codecomp telemetry check
-//! --collapsed` applies in CI. The validator is compiled
-//! unconditionally — a non-`profile` build can still check profiles
-//! produced elsewhere.
+//! --collapsed` applies in CI.
 
-/// Whether this build carries live profiler instrumentation (the
-/// `profile` feature). When `false`, every recording function in this
-/// module is an inert stub and all sample counts are zero.
-#[must_use]
-#[inline]
-pub fn enabled() -> bool {
-    cfg!(feature = "profile")
+use crate::telemetry::{self, set_stage_sink, SINK_PROFILER};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+// 0 = disarmed, for both clocks.
+static WALL_PERIOD: AtomicU64 = AtomicU64::new(0);
+static VIRT_PERIOD: AtomicU64 = AtomicU64::new(0);
+// BTreeMap so `collapsed()` is sorted without a post-pass; the map is
+// only touched when a period boundary credits samples.
+static SAMPLES: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
+
+/// Per-thread clock state: the previous wall transition and the
+/// remainders below one period.
+#[derive(Default)]
+struct Carry {
+    last: Option<u64>,
+    nanos: u64,
+    ticks: u64,
 }
 
-/// An open profiler scope; pops its frame on drop.
-///
-/// Hold it in a named binding (`let _scope = profile::scope("join")`)
-/// — a bare `_` would drop immediately.
-pub use imp::ScopeGuard;
-
-/// Pushes `name` onto the calling thread's stage stack, crediting the
-/// elapsed wall time since the last transition to the previous stack
-/// first. The returned guard pops the frame on drop.
-#[inline(always)]
-pub fn scope(name: &'static str) -> ScopeGuard {
-    imp::scope(name)
+thread_local! {
+    static CARRY: RefCell<Carry> = RefCell::new(Carry::default());
 }
 
-/// Credits `units` virtual ticks to the calling thread's current
-/// stack (sampled at the virtual period). The deterministic
-/// alternative to wall sampling.
-#[inline(always)]
+/// Adds `units` to `carry` and credits one sample per whole `period`
+/// to `path`; with no stage open the samples are dropped.
+fn accrue(carry: &mut u64, units: u64, period: u64, path: &[&'static str]) {
+    *carry = carry.saturating_add(units);
+    let samples = *carry / period;
+    if samples > 0 {
+        *carry %= period;
+        if !path.is_empty() {
+            let mut map = SAMPLES.lock().expect("profile sample lock");
+            *map.entry(path.join(";")).or_insert(0) += samples;
+        }
+    }
+}
+
+fn rearm() {
+    let armed =
+        WALL_PERIOD.load(Ordering::Relaxed) > 0 || VIRT_PERIOD.load(Ordering::Relaxed) > 0;
+    set_stage_sink(SINK_PROFILER, armed);
+}
+
+/// Called by [`telemetry::stage`] at every entry and exit with the
+/// path as it was before the transition and the stage's clock read:
+/// credits the wall time since the previous transition to that path.
+pub(crate) fn transition(path: &[&'static str], now: u64) {
+    let period = WALL_PERIOD.load(Ordering::Relaxed);
+    if period == 0 {
+        return;
+    }
+    CARRY.with(|c| {
+        let c = &mut *c.borrow_mut();
+        if let Some(last) = c.last {
+            accrue(&mut c.nanos, now - last, period, path);
+        }
+        c.last = Some(now);
+    });
+}
+
+/// Credits `units` virtual ticks to the calling thread's open stage
+/// path (sampled at the virtual period). The deterministic
+/// alternative to wall sampling; a no-op while the virtual clock is
+/// disarmed.
 pub fn tick(units: u64) {
-    imp::tick(units);
+    let period = VIRT_PERIOD.load(Ordering::Relaxed);
+    if period == 0 {
+        return;
+    }
+    telemetry::with_stage_path(|path| {
+        CARRY.with(|c| accrue(&mut c.borrow_mut().ticks, units, period, path));
+    });
 }
 
 /// Sets the wall sampling period in nanoseconds; one sample is
-/// credited per elapsed period. `0` disarms wall sampling entirely
-/// (virtual [`tick`]s still credit). Default: 0 — even an
-/// instrumented build records nothing until a driver (the
-/// `codecomp profile` command) arms it, so carrying the feature costs
-/// only the frame-stack bookkeeping, never clock reads.
+/// credited per elapsed period. `0` (the default) disarms it.
 pub fn set_wall_period_nanos(period: u64) {
-    imp::set_wall_period_nanos(period);
+    WALL_PERIOD.store(period, Ordering::Relaxed);
+    rearm();
 }
 
-/// Sets the virtual crediting period: one sample per `period` ticks
-/// (minimum 1). Default: 1.
+/// Sets the virtual crediting period: one sample per `period` ticks.
+/// `0` (the default) disarms the virtual clock.
 pub fn set_virtual_period(period: u64) {
-    imp::set_virtual_period(period);
+    VIRT_PERIOD.store(period, Ordering::Relaxed);
+    rearm();
 }
 
 /// Clears accumulated samples and the calling thread's clock state.
 /// Other threads' in-flight carry is not reclaimed; reset between
 /// passes from the thread that profiles.
 pub fn reset() {
-    imp::reset();
+    SAMPLES.lock().expect("profile sample lock").clear();
+    CARRY.with(|c| *c.borrow_mut() = Carry::default());
 }
 
 /// The accumulated collapsed stacks, sorted: `("a;b;c", samples)`.
 #[must_use]
 pub fn collapsed() -> Vec<(String, u64)> {
-    imp::collapsed()
+    SAMPLES
+        .lock()
+        .expect("profile sample lock")
+        .iter()
+        .map(|(k, &v)| (k.clone(), v))
+        .collect()
 }
 
 /// Renders the accumulated samples in collapsed-stack form, one
@@ -140,179 +183,24 @@ pub fn validate_collapsed_line(line: &str) -> Result<(), String> {
     Ok(())
 }
 
-#[cfg(feature = "profile")]
-mod imp {
-    use std::cell::RefCell;
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
-    use std::time::Instant;
-
-    // 0 = disarmed: an instrumented build pays only the frame-stack
-    // push/pop until a driver arms wall sampling (or ticks virtually).
-    static WALL_PERIOD: AtomicU64 = AtomicU64::new(0);
-    static VIRT_PERIOD: AtomicU64 = AtomicU64::new(1);
-    // BTreeMap so `collapsed()` is sorted without a post-pass; the map
-    // is only touched when a period boundary credits samples.
-    static SAMPLES: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
-
-    struct ThreadProf {
-        frames: Vec<&'static str>,
-        last: Option<Instant>,
-        carry_nanos: u64,
-        carry_ticks: u64,
-    }
-
-    thread_local! {
-        static PROF: RefCell<ThreadProf> = const {
-            RefCell::new(ThreadProf {
-                frames: Vec::new(),
-                last: None,
-                carry_nanos: 0,
-                carry_ticks: 0,
-            })
-        };
-    }
-
-    fn credit(frames: &[&'static str], samples: u64) {
-        if samples == 0 || frames.is_empty() {
-            return;
-        }
-        let key = frames.join(";");
-        let mut map = SAMPLES.lock().expect("profile sample lock");
-        *map.entry(key).or_insert(0) += samples;
-    }
-
-    /// Credits wall time elapsed since the previous transition to the
-    /// *current* (pre-transition) stack, then restarts the clock.
-    fn advance_wall(p: &mut ThreadProf) {
-        let period = WALL_PERIOD.load(Ordering::Relaxed);
-        if period == 0 {
-            p.last = None;
-            return;
-        }
-        let now = Instant::now();
-        if let Some(last) = p.last {
-            let elapsed = u64::try_from(now.duration_since(last).as_nanos()).unwrap_or(u64::MAX);
-            p.carry_nanos = p.carry_nanos.saturating_add(elapsed);
-            let samples = p.carry_nanos / period;
-            if samples > 0 {
-                p.carry_nanos %= period;
-                credit(&p.frames, samples);
-            }
-        }
-        p.last = Some(now);
-    }
-
-    /// RAII frame: pops on drop.
-    #[derive(Debug)]
-    pub struct ScopeGuard(());
-
-    impl Drop for ScopeGuard {
-        fn drop(&mut self) {
-            PROF.with(|prof| {
-                let mut p = prof.borrow_mut();
-                advance_wall(&mut p);
-                p.frames.pop();
-            });
-        }
-    }
-
-    pub fn scope(name: &'static str) -> ScopeGuard {
-        PROF.with(|prof| {
-            let mut p = prof.borrow_mut();
-            advance_wall(&mut p);
-            p.frames.push(name);
-        });
-        ScopeGuard(())
-    }
-
-    pub fn tick(units: u64) {
-        PROF.with(|prof| {
-            let mut p = prof.borrow_mut();
-            let period = VIRT_PERIOD.load(Ordering::Relaxed).max(1);
-            p.carry_ticks = p.carry_ticks.saturating_add(units);
-            let samples = p.carry_ticks / period;
-            if samples > 0 {
-                p.carry_ticks %= period;
-                credit(&p.frames, samples);
-            }
-        });
-    }
-
-    pub fn set_wall_period_nanos(period: u64) {
-        WALL_PERIOD.store(period, Ordering::Relaxed);
-    }
-
-    pub fn set_virtual_period(period: u64) {
-        VIRT_PERIOD.store(period.max(1), Ordering::Relaxed);
-    }
-
-    pub fn reset() {
-        SAMPLES.lock().expect("profile sample lock").clear();
-        PROF.with(|prof| {
-            let mut p = prof.borrow_mut();
-            p.last = None;
-            p.carry_nanos = 0;
-            p.carry_ticks = 0;
-        });
-    }
-
-    pub fn collapsed() -> Vec<(String, u64)> {
-        SAMPLES
-            .lock()
-            .expect("profile sample lock")
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect()
-    }
-}
-
-#[cfg(not(feature = "profile"))]
-mod imp {
-    /// Inert stub guard (zero-sized; constructing and dropping it
-    /// compiles to nothing). The no-op `Drop` keeps explicit
-    /// `drop(guard)` calls at instrumentation sites meaningful in
-    /// both feature configurations.
-    #[derive(Debug)]
-    pub struct ScopeGuard(pub(super) ());
-
-    impl Drop for ScopeGuard {
-        #[inline(always)]
-        fn drop(&mut self) {}
-    }
-
-    #[inline(always)]
-    pub fn scope(_name: &'static str) -> ScopeGuard {
-        ScopeGuard(())
-    }
-
-    #[inline(always)]
-    pub fn tick(_units: u64) {}
-
-    pub fn set_wall_period_nanos(_period: u64) {}
-
-    pub fn set_virtual_period(_period: u64) {}
-
-    pub fn reset() {}
-
-    pub fn collapsed() -> Vec<(String, u64)> {
-        Vec::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::stage;
 
-    // The sample map and periods are process-global; tests that reset
-    // them must not interleave.
-    #[cfg(feature = "profile")]
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // The sample map and periods are process-global; tests that arm
+    // or reset them must not interleave.
+    static LOCK: Mutex<()> = Mutex::new(());
 
-    #[cfg(feature = "profile")]
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Arms only the virtual clock, with a fresh sample map.
+    fn arm_virtual(period: u64) {
+        reset();
+        set_wall_period_nanos(0);
+        set_virtual_period(period);
     }
 
     #[test]
@@ -325,29 +213,26 @@ mod tests {
     }
 
     #[test]
-    fn disabled_build_records_nothing() {
-        if enabled() {
-            return;
+    fn disarmed_profiler_records_nothing() {
+        let _serial = serial();
+        arm_virtual(0);
+        {
+            let _a = stage("a");
+            tick(100);
         }
-        reset();
-        let _a = scope("a");
-        tick(100);
         assert!(collapsed().is_empty());
         assert_eq!(render_collapsed(), "");
     }
 
     #[test]
-    #[cfg(feature = "profile")]
     fn virtual_ticks_attribute_to_the_current_stack() {
         let _serial = serial();
-        reset();
-        set_wall_period_nanos(0); // deterministic: virtual clock only
-        set_virtual_period(10);
+        arm_virtual(10);
         {
-            let _a = scope("a");
+            let _a = stage("a");
             tick(30);
             {
-                let _b = scope("b");
+                let _b = stage("b");
                 tick(25);
             }
             tick(15);
@@ -364,38 +249,36 @@ mod tests {
         }
         reset();
         assert!(collapsed().is_empty());
+        set_virtual_period(0);
     }
 
     #[test]
-    #[cfg(feature = "profile")]
     fn same_tick_sequence_is_deterministic() {
         let _serial = serial();
         let run = || {
-            reset();
-            set_wall_period_nanos(0);
-            set_virtual_period(3);
-            let _outer = scope("decode");
+            arm_virtual(3);
+            let outer = stage("decode");
             for i in 0..50u64 {
-                let _inner = scope(if i % 2 == 0 { "mtf" } else { "join" });
+                let _inner = stage(if i % 2 == 0 { "mtf" } else { "join" });
                 tick(i % 7);
             }
-            drop(_outer);
+            drop(outer);
             render_collapsed()
         };
-        assert_eq!(run(), run());
+        let first = run();
+        assert!(first.contains("decode;mtf "), "{first}");
+        assert_eq!(first, run());
+        set_virtual_period(0);
     }
 
     #[test]
-    #[cfg(feature = "profile")]
     fn concurrent_ticks_sum_exactly() {
         let _serial = serial();
-        reset();
-        set_wall_period_nanos(0);
-        set_virtual_period(1);
+        arm_virtual(1);
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 std::thread::spawn(|| {
-                    let _s = scope("shared");
+                    let _s = stage("shared");
                     for _ in 0..1000 {
                         tick(1);
                     }
@@ -412,5 +295,6 @@ mod tests {
             .sum();
         assert_eq!(total, 4000);
         reset();
+        set_virtual_period(0);
     }
 }

@@ -19,10 +19,13 @@
 //!   always-on flight recorder ([`RingSink`]) dumped on error.
 //! - **The global collector** — [`install`] publishes a [`Collector`]
 //!   once per process; every instrumentation site goes through the
-//!   free functions ([`counter_add`], [`event`], [`span`], …) which
+//!   free functions ([`counter_add`], [`event`], [`stage`], …) which
 //!   reduce to a single atomic load and a branch when nothing is
 //!   installed. Without a collector the pipeline stays exactly as it
 //!   was: no state is created, nothing is observable.
+//! - **Stages** — [`stage`] is the one timing primitive: a nesting
+//!   guard whose exit feeds the registry's per-stage self time, the
+//!   trace's span events and the sampling profiler ([`crate::profile`]).
 //!
 //! # Metric naming
 //!
@@ -30,9 +33,10 @@
 //! per-stream metrics (`wire.encode.section_bytes.$patterns`). The
 //! full scheme is documented in DESIGN.md § Observability.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
@@ -218,7 +222,11 @@ pub struct Registry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
+    stages: RwLock<BTreeMap<&'static str, Arc<StageCounters>>>,
 }
+
+/// The `stage.<name>.{calls,self_ns,total_ns}` counters of one [`stage`].
+type StageCounters = [Arc<Counter>; 3];
 
 fn intern<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
     if let Some(m) = map.read().expect("registry lock").get(name) {
@@ -247,6 +255,18 @@ impl Registry {
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         intern(&self.histograms, name)
+    }
+
+    /// The counters of the [`stage`] `name`, resolved once per name so
+    /// that a stage exit neither allocates nor formats.
+    fn stage_counters(&self, name: &'static str) -> Arc<StageCounters> {
+        if let Some(c) = self.stages.read().expect("registry lock").get(name) {
+            return Arc::clone(c);
+        }
+        let c = ["calls", "self_ns", "total_ns"]
+            .map(|m| self.counter(&format!("stage.{name}.{m}")));
+        let mut stages = self.stages.write().expect("registry lock");
+        Arc::clone(stages.entry(name).or_insert(Arc::new(c)))
     }
 
     /// Zeroes every existing gauge whose name starts with `prefix`.
@@ -718,7 +738,9 @@ pub fn now_nanos() -> u64 {
 /// Installs the process-wide collector. First install wins; returns
 /// whether this call installed it.
 pub fn install(collector: Collector) -> bool {
-    COLLECTOR.set(collector).is_ok()
+    let installed = COLLECTOR.set(collector).is_ok();
+    set_stage_sink(SINK_COLLECTOR, true);
+    installed
 }
 
 /// The installed collector, if any. One atomic load when disabled.
@@ -799,58 +821,123 @@ pub fn event(name: &str, fields: Vec<(&'static str, FieldValue)>) {
     }
 }
 
-/// An open stage span; emits `span_end` with its duration on drop.
+// ---- stages -------------------------------------------------------------------
+
+/// Which sinks [`stage`] feeds: a collector, the armed profiler, or
+/// both. While it is zero a stage reads no clock and touches no
+/// thread-local. `Relaxed` suffices: the mask publishes no data, and
+/// each sink checks its own state (the collector's `OnceLock`, the
+/// profiler's periods) before use.
+static STAGE_SINKS: AtomicU8 = AtomicU8::new(0);
+const SINK_COLLECTOR: u8 = 1;
+pub(crate) const SINK_PROFILER: u8 = 2;
+
+pub(crate) fn set_stage_sink(sink: u8, on: bool) {
+    if on {
+        STAGE_SINKS.fetch_or(sink, Ordering::Relaxed);
+    } else {
+        STAGE_SINKS.fetch_and(!sink, Ordering::Relaxed);
+    }
+}
+
+/// The calling thread's open stages, innermost last: their names (the
+/// profiler's sample key) and `(entry time, closed children's total)`.
+struct StageStack {
+    names: Vec<&'static str>,
+    clocks: Vec<(u64, u64)>,
+}
+
+thread_local! {
+    static STAGES: RefCell<StageStack> = const {
+        RefCell::new(StageStack { names: Vec::new(), clocks: Vec::new() })
+    };
+}
+
+/// Runs `f` over the calling thread's open stage names, outermost first.
+pub(crate) fn with_stage_path(f: impl FnOnce(&[&'static str])) {
+    STAGES.with(|s| f(&s.borrow().names))
+}
+
+/// An open [`stage`], closed on drop. Inert when entry found no live
+/// sink and pushed nothing.
 #[derive(Debug)]
-pub struct Span {
-    // `None` when tracing is disabled: the whole guard is inert.
-    name: Option<String>,
-    start: Option<Instant>,
-}
+#[must_use = "a stage closes when its guard drops; bind it to a named variable"]
+pub struct Stage(bool);
 
-impl Span {
-    /// Ends the span now (otherwise it ends on drop).
-    pub fn end(self) {}
-}
-
-impl Drop for Span {
+impl Drop for Stage {
+    #[inline]
     fn drop(&mut self) {
-        if let (Some(name), Some(start)) = (self.name.take(), self.start) {
-            if let Some(sink) = collector().and_then(|c| c.trace.as_ref()) {
-                sink.record(&TraceEvent {
-                    t_nanos: now_nanos(),
-                    kind: TraceKind::SpanEnd,
-                    name,
-                    dur_nanos: Some(
-                        u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    ),
-                    fields: Vec::new(),
-                });
-            }
+        if self.0 {
+            exit_stage();
         }
     }
 }
 
-/// Opens a stage span (emits `span_begin` now, `span_end` on drop).
-/// Inert when no trace sink is installed.
-pub fn span(name: &str) -> Span {
-    match collector().and_then(|c| c.trace.as_ref()) {
-        Some(sink) => {
-            sink.record(&TraceEvent {
-                t_nanos: now_nanos(),
-                kind: TraceKind::SpanBegin,
-                name: name.to_string(),
-                dur_nanos: None,
-                fields: Vec::new(),
-            });
-            Span {
-                name: Some(name.to_string()),
-                start: Some(Instant::now()),
-            }
+/// Opens the stage `name` until the returned guard drops.
+///
+/// Stages nest on one per-thread stack, and each exit splits its time
+/// from the same clock reads: `total` is exit minus entry, `self` is
+/// `total` minus its children's totals, so the self times under a root
+/// sum exactly to the root's total. Every live sink is fed: the
+/// collector's `stage.<name>.{calls,self_ns,total_ns}` counters (no
+/// allocation or formatting per exit), the trace sink's
+/// `span_begin`/`span_end` pair, and the armed profiler's collapsed
+/// stacks. With no collector installed and the profiler disarmed this
+/// is one relaxed load and a branch: no clock read, no thread-local.
+#[inline]
+pub fn stage(name: &'static str) -> Stage {
+    if STAGE_SINKS.load(Ordering::Relaxed) == 0 {
+        return Stage(false);
+    }
+    enter_stage(name);
+    Stage(true)
+}
+
+#[inline(never)]
+fn enter_stage(name: &'static str) {
+    let now = now_nanos();
+    STAGES.with(|s| {
+        let mut s = s.borrow_mut();
+        crate::profile::transition(&s.names, now);
+        s.names.push(name);
+        s.clocks.push((now, 0));
+    });
+    record_span(collector(), TraceKind::SpanBegin, name, now, None);
+}
+
+#[inline(never)]
+fn exit_stage() {
+    let now = now_nanos();
+    let closed = STAGES.with(|s| {
+        let mut s = s.borrow_mut();
+        crate::profile::transition(&s.names, now);
+        // Every open guard pushed one frame, so this pops its own.
+        let (name, (start, children)) = s.names.pop().zip(s.clocks.pop())?;
+        let total = now - start;
+        if let Some(parent) = s.clocks.last_mut() {
+            parent.1 += total;
         }
-        None => Span {
-            name: None,
-            start: None,
-        },
+        Some((name, total, children))
+    });
+    let (Some((name, total, children)), Some(c)) = (closed, collector()) else {
+        return;
+    };
+    let [calls, self_ns, total_ns] = &*c.metrics.stage_counters(name);
+    calls.add(1);
+    self_ns.add(total - children);
+    total_ns.add(total);
+    record_span(Some(c), TraceKind::SpanEnd, name, now, Some(total));
+}
+
+fn record_span(c: Option<&Collector>, kind: TraceKind, name: &str, t: u64, dur: Option<u64>) {
+    if let Some(sink) = c.and_then(|c| c.trace.as_ref()) {
+        sink.record(&TraceEvent {
+            t_nanos: t,
+            kind,
+            name: name.to_string(),
+            dur_nanos: dur,
+            fields: Vec::new(),
+        });
     }
 }
 
@@ -1441,7 +1528,6 @@ mod tests {
         counter_add("never.recorded", 1);
         gauge_set("never.recorded", 1);
         histogram_record("never.recorded", 1);
-        let _span = span("never.recorded");
         event("never.recorded", vec![("k", FieldValue::U64(1))]);
         assert!(collector().is_none(), "helpers must not install state");
     }

@@ -42,6 +42,7 @@ const EPILOGUE_LABEL: u32 = 1_000_000;
 /// [`VmError::Codegen`] on IR the generator cannot handle (expression
 /// deeper than the register file, calls in unsupported positions, …).
 pub fn compile_module(module: &Module, isa: IsaConfig) -> Result<VmProgram, VmError> {
+    let _stage = codecomp_core::telemetry::stage("vm.codegen");
     let mut program = VmProgram {
         globals: Vec::new(),
         functions: Vec::new(),

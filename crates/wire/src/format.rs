@@ -7,7 +7,6 @@ use codecomp_coding::huffman::{cached_decoder, HuffmanEncoder};
 use codecomp_coding::model::AdaptiveModel;
 use codecomp_coding::mtf::{mtf_decode_identity, mtf_encode};
 use codecomp_core::cov_hit;
-use codecomp_core::profile;
 use codecomp_core::streams::SplitStreams;
 use codecomp_core::telemetry;
 use codecomp_core::treepat::TreePattern;
@@ -130,7 +129,7 @@ impl WireReport {
 ///
 /// [`WireError`] if the module contains trees outside the operator table.
 pub fn compress(module: &Module, options: WireOptions) -> Result<WireReport, WireError> {
-    let _span = telemetry::span("wire.compress");
+    let _stage = telemetry::stage("wire.compress");
     // 1-2. Gather statement trees and patternize into streams.
     let trees: Vec<Tree> = module
         .functions
@@ -263,12 +262,6 @@ pub fn decompress(bytes: &[u8]) -> Result<Module, WireError> {
 #[derive(Debug, Default)]
 struct DecodeStats {
     enabled: bool,
-    ns_inflate: u64,
-    ns_entry_table: u64,
-    ns_indices: u64,
-    ns_table_build: u64,
-    ns_mtf: u64,
-    ns_join: u64,
     symbols: u64,
     table_entries: u64,
     /// `(section key, compressed payload bytes, symbols)` in image order;
@@ -282,16 +275,6 @@ impl DecodeStats {
             enabled: telemetry::enabled(),
             ..DecodeStats::default()
         }
-    }
-
-    #[inline]
-    fn start(&self) -> Option<std::time::Instant> {
-        self.enabled.then(std::time::Instant::now)
-    }
-
-    #[inline]
-    fn elapsed(t: Option<std::time::Instant>) -> u64 {
-        t.map_or(0, |t| t.elapsed().as_nanos() as u64)
     }
 
     /// Publishes the batch, mirroring the encode side's reset-and-set
@@ -309,12 +292,6 @@ impl DecodeStats {
         if !self.enabled {
             return;
         }
-        telemetry::counter_add("wire.decode.ns.inflate", self.ns_inflate);
-        telemetry::counter_add("wire.decode.ns.entry_table", self.ns_entry_table);
-        telemetry::counter_add("wire.decode.ns.indices", self.ns_indices);
-        telemetry::counter_add("wire.decode.ns.table_build", self.ns_table_build);
-        telemetry::counter_add("wire.decode.ns.mtf", self.ns_mtf);
-        telemetry::counter_add("wire.decode.ns.join", self.ns_join);
         telemetry::counter_add("wire.decode.symbols", self.symbols);
         telemetry::counter_add("wire.decode.table_entries", self.table_entries);
         if let Some(c) = telemetry::collector() {
@@ -435,23 +412,20 @@ fn read_section<'a>(
     c: &mut Cursor<'a>,
     options: WireOptions,
     budget: &Budget,
-    stats: &mut DecodeStats,
 ) -> Result<(String, Vec<u8>, u64), WireError> {
-    let _prof = profile::scope("frame");
+    let _stage = telemetry::stage("wire.decode.frame");
     let key = c.string()?;
     let len = c.usize_varint()?;
     let payload = c.take(len)?;
-    let t = stats.start();
+    let _inflate = telemetry::stage("wire.decode.inflate");
     let raw = if options.deflate {
         cov_hit!("wire.section.deflated");
-        let _prof = profile::scope("inflate");
         inflate_budgeted(payload, budget)?
     } else {
         cov_hit!("wire.section.raw");
         budget.check_output_bytes(payload.len() as u64)?;
         payload.to_vec()
     };
-    stats.ns_inflate += DecodeStats::elapsed(t);
     Ok((key, raw, len as u64))
 }
 
@@ -469,8 +443,7 @@ fn read_section<'a>(
 /// [`WireError::Limit`] when a budget knob trips (never misreported as
 /// `Corrupt`); otherwise as [`decompress`].
 pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, WireError> {
-    let _span = telemetry::span("wire.decompress");
-    let _prof = profile::scope("wire.decode");
+    let _stage = telemetry::stage("wire.decompress");
     telemetry::counter_add("wire.decode.modules", 1);
     telemetry::counter_add("wire.decode.input_bytes", bytes.len() as u64);
     let mut stats = DecodeStats::new();
@@ -488,7 +461,7 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
         cov_hit!("wire.meta.missing");
         return Err(WireError::Corrupt("missing $meta".into()));
     }
-    let (meta_key, meta, meta_len) = read_section(&mut c, options, budget, &mut stats)?;
+    let (meta_key, meta, meta_len) = read_section(&mut c, options, budget)?;
     if meta_key != "$meta" {
         cov_hit!("wire.meta.wrong_key");
         return Err(WireError::Corrupt("first section is not $meta".into()));
@@ -531,7 +504,7 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
         cov_hit!("wire.patterns.missing");
         return Err(WireError::Corrupt("missing $patterns".into()));
     }
-    let (pat_key, pat_raw, pat_len) = read_section(&mut c, options, budget, &mut stats)?;
+    let (pat_key, pat_raw, pat_len) = read_section(&mut c, options, budget)?;
     if pat_key != "$patterns" {
         cov_hit!("wire.patterns.wrong_key");
         return Err(WireError::Corrupt("second section is not $patterns".into()));
@@ -547,7 +520,7 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
     let mut literal_sections: Vec<(String, Vec<Literal>)> =
         Vec::with_capacity((n_sections - 2).min(c.remaining() / 2));
     for _ in 2..n_sections {
-        let (key, raw, len) = read_section(&mut c, options, budget, &mut stats)?;
+        let (key, raw, len) = read_section(&mut c, options, budget)?;
         let mut lc = Cursor::new(&raw);
         let lits = decode_literal_stream(&mut lc, options, budget, &mut stats)?;
         if stats.enabled {
@@ -563,8 +536,7 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
     }
 
     // Rebuild trees against the (possibly shared) pattern table.
-    let _prof_join = profile::scope("join");
-    let t_join = stats.start();
+    let join = telemetry::stage("wire.decode.join");
     let trees: Vec<Tree> = if options.split_streams {
         cov_hit!("wire.join.split");
         SplitStreams::join_parts(
@@ -594,10 +566,10 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
         }
         trees
     };
-    stats.ns_join += DecodeStats::elapsed(t_join);
-    drop(_prof_join);
+    drop(join);
 
     // Slice trees into functions.
+    let slice = telemetry::stage("wire.decode.slice");
     let mut module = Module {
         globals,
         functions: Vec::new(),
@@ -624,6 +596,7 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
             "trailing trees after last function".into(),
         ));
     }
+    drop(slice);
     cov_hit!("wire.decode.ok");
     stats.flush(bytes.len() as u64);
     Ok(module)
@@ -795,28 +768,23 @@ fn decode_symbol_stream<T>(
     let table_len = c.usize_varint()?;
     budget.check_table_entries(table_len as u64)?;
     budget.charge_fuel(table_len as u64)?;
-    let t_table = stats.start();
     let mut table = Vec::with_capacity(table_len.min(c.remaining()));
     {
-        let _prof = profile::scope("tables");
+        let _stage = telemetry::stage("wire.decode.tables");
         for _ in 0..table_len {
             table.push(read_entry(c)?);
         }
     }
-    stats.ns_entry_table += DecodeStats::elapsed(t_table);
     let alphabet = if options.mtf {
         table_len + 1
     } else {
         table_len
     };
-    let t_idx = stats.start();
     let indices = {
-        let _prof = profile::scope("huffman");
-        decode_indices(c, alphabet.max(1), options.coder, budget, stats)?
+        let _stage = telemetry::stage("wire.decode.huffman");
+        decode_indices(c, alphabet.max(1), options.coder, budget)?
     };
-    stats.ns_indices += DecodeStats::elapsed(t_idx);
-    let _prof_mtf = profile::scope("mtf");
-    let t_mtf = stats.start();
+    let mtf = telemetry::stage("wire.decode.mtf");
     let occurrences = if options.mtf {
         cov_hit!("wire.stream.mtf");
         // Occurrence values are first-occurrence table indices, so the
@@ -831,8 +799,7 @@ fn decode_symbol_stream<T>(
         cov_hit!("wire.stream.direct");
         indices
     };
-    stats.ns_mtf += DecodeStats::elapsed(t_mtf);
-    drop(_prof_mtf);
+    drop(mtf);
     if occurrences.iter().any(|&o| o as usize >= table_len) && !occurrences.is_empty() {
         cov_hit!("wire.stream.occurrence_overflow");
         return Err(WireError::Corrupt("occurrence beyond table".into()));
@@ -879,6 +846,7 @@ fn decode_literal_stream(
     stats: &mut DecodeStats,
 ) -> Result<Vec<Literal>, WireError> {
     let (table, occurrences) = decode_symbol_stream(c, options, budget, stats, decode_literal)?;
+    let _stage = telemetry::stage("wire.decode.literals");
     occurrences
         .into_iter()
         .map(|o| {
@@ -941,7 +909,6 @@ fn decode_indices(
     alphabet: usize,
     coder: Coder,
     budget: &Budget,
-    stats: &mut DecodeStats,
 ) -> Result<Vec<u32>, WireError> {
     let count = c.usize_varint()?;
     if count == 0 {
@@ -971,12 +938,13 @@ fn decode_indices(
             let lengths = c.take(alphabet)?;
             let nbytes = c.usize_varint()?;
             let bits = c.take(nbytes)?;
-            let t_build = stats.start();
             // The length vector keys a process-wide decoder cache, so a
             // code description seen in any earlier section (or module)
             // skips the table build entirely.
-            let dec = cached_decoder(lengths)?;
-            stats.ns_table_build += DecodeStats::elapsed(t_build);
+            let dec = {
+                let _stage = telemetry::stage("wire.decode.table_build");
+                cached_decoder(lengths)?
+            };
             // Table-driven bulk decode: two-level lookup against a
             // 64-bit reservoir instead of a bit-walk per symbol.
             let out = dec.decode_exact(bits, count)?;

@@ -22,7 +22,8 @@ use code_compression::wire::{DemandError, DemandImage, DemandLoader, WireOptions
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let ring = Arc::new(RingSink::new(4096));
+    // Room for every stage span of the run, so no demand event is evicted.
+    let ring = Arc::new(RingSink::new(65_536));
     telemetry::install(Collector::with_trace(ring.clone()));
     println!(
         "| program | fns | image B | poisoned | resident B (run main) | main outcome |"

@@ -103,7 +103,9 @@ impl TelemetryFlags {
 }
 
 /// Strips the global telemetry flags out of `args` (they are accepted
-/// anywhere before `--`) and returns what they asked for.
+/// anywhere before `--`) and returns what they asked for. Only the
+/// `--trace=PATH` form is global: a bare `--trace` belongs to the
+/// command (`telemetry check --trace FILE` names a file to read).
 fn extract_telemetry(args: &mut Vec<String>) -> Result<TelemetryFlags, AnyError> {
     let mut t = TelemetryFlags {
         stats: false,
@@ -119,8 +121,6 @@ fn extract_telemetry(args: &mut Vec<String>) -> Result<TelemetryFlags, AnyError>
             t.metrics = Some(None);
         } else if let Some(p) = a.strip_prefix("--metrics=") {
             t.metrics = Some(Some(p.to_string()));
-        } else if a == "--trace" {
-            t.trace = Some(it.next().ok_or("--trace needs a path")?);
         } else if let Some(p) = a.strip_prefix("--trace=") {
             t.trace = Some(p.to_string());
         } else if a == "--" {
@@ -172,9 +172,10 @@ fn report_telemetry(t: &TelemetryFlags) -> Result<(), AnyError> {
     Ok(())
 }
 
-/// The `--stats` table: the paper's per-stream byte breakdown, read
+/// The `--stats` tables: the paper's per-stream byte breakdown, read
 /// back from the wire encoder's (and, after an unpack, the decoder's)
-/// reset-and-set gauges. The rows sum exactly to the wire-module size.
+/// reset-and-set gauges — the rows sum exactly to the wire-module
+/// size — then the pipeline counters and the stage times.
 fn print_stats(snap: &telemetry::Snapshot) {
     let encoded = print_stream_table(snap, "encode");
     let decoded = print_stream_table(snap, "decode");
@@ -183,6 +184,37 @@ fn print_stats(snap: &telemetry::Snapshot) {
         eprintln!("  (no wire activity in this run)");
     }
     print_stage_counters(snap);
+    print_stage_times(snap);
+}
+
+/// One row per `telemetry::stage`, largest self time first. Self times
+/// partition the outermost stages' wall time, so the shares sum to
+/// 100% and the `cmd.*` row is the time no pipeline stage explains.
+fn print_stage_times(snap: &telemetry::Snapshot) {
+    let mut rows: Vec<(&str, u64)> = snap
+        .counters
+        .iter()
+        .filter_map(|(n, v)| Some((n.strip_prefix("stage.")?.strip_suffix(".self_ns")?, *v)))
+        .collect();
+    rows.sort_by_key(|&(_, self_ns)| std::cmp::Reverse(self_ns));
+    let sum: u64 = rows.iter().map(|&(_, self_ns)| self_ns).sum();
+    let ms = |ns: u64| ns as f64 / 1e6;
+    eprintln!("stage times:");
+    eprintln!(
+        "  {:>28} {:>8} {:>11} {:>11} {:>7}",
+        "stage", "calls", "self ms", "total ms", "share"
+    );
+    for (name, self_ns) in rows {
+        let get = |m: &str| snap.counter(&format!("stage.{name}.{m}")).unwrap_or(0);
+        eprintln!(
+            "  {name:>28} {:>8} {:>11.3} {:>11.3} {:>6.1}%",
+            get("calls"),
+            ms(self_ns),
+            ms(get("total_ns")),
+            100.0 * self_ns as f64 / sum.max(1) as f64
+        );
+    }
+    eprintln!("  {:>28} {:>8} {:>11.3}", "(sum of self)", "", ms(sum));
 }
 
 /// One direction of the stream table (`dir` is `"encode"` or
@@ -299,7 +331,12 @@ fn main() -> ExitCode {
         let tflags = extract_telemetry(&mut args)?;
         install_telemetry(&tflags)?;
         let _flush = TraceFlushGuard;
-        let code = dispatch(&args)?;
+        let code = {
+            // The command's own stage: its self time is the part of the
+            // run no pipeline stage explains.
+            let _cmd = telemetry::stage(command_stage(&args));
+            dispatch(&args)?
+        };
         report_telemetry(&tflags)?;
         Ok(code)
     };
@@ -313,6 +350,12 @@ fn main() -> ExitCode {
 }
 
 type AnyError = Box<dyn std::error::Error>;
+
+/// The root stage name for a command line: `cmd.<command>`.
+fn command_stage(args: &[String]) -> &'static str {
+    let name = args.first().map_or("help", String::as_str);
+    Box::leak(format!("cmd.{name}").into_boxed_str())
+}
 
 fn dispatch(args: &[String]) -> Result<ExitCode, AnyError> {
     let mut it = args.iter().map(String::as_str);
@@ -361,14 +404,13 @@ fn usage() -> Result<ExitCode, AnyError> {
   codecomp fuzz [--target wire|gzip|demand|brisc|all] [--cases N] [--seed N]
                 [--rounds N] [--blind] [--max-input N] [--save-repros]
   codecomp profile [--out PATH] [--passes N] [--period NANOS] <subcommand...>
-                   (needs a `--features profile` build)
   codecomp serve-sim [<src.c|.ccir>] [--clients N] [--requests N] [--seed N]
                      [--fault-rate N|N/D] [--corrupt N] [--workers N]
                      [--cache SIZE] [--channels modem,lan,disk]
                      [--metrics-interval MS] [--metrics-stream PATH]
 
 global telemetry flags (any command, before `--`):
-  --stats              per-stage stream breakdown table (stderr)
+  --stats              stream breakdown and stage times tables (stderr)
   --metrics[=PATH]     metrics-registry JSON dump (stdout, or PATH)
   --trace=PATH         structured JSON-lines trace
 
@@ -722,9 +764,7 @@ fn cmd_telemetry_check(args: &[String]) -> Result<ExitCode, AnyError> {
 
 /// `codecomp profile <subcommand...>`: runs the subcommand under the
 /// in-tree sampling self-profiler and writes its collapsed-stack
-/// profile. Requires a build with `--features profile`; in a normal
-/// build the instrumentation is compiled out and there is nothing to
-/// sample.
+/// profile, keyed by the open `telemetry::stage` path.
 fn cmd_profile(args: &[String]) -> Result<ExitCode, AnyError> {
     let mut out_path = "profile.folded".to_string();
     let mut passes: u64 = 1;
@@ -754,21 +794,14 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, AnyError> {
     if rest[0] == "profile" {
         return Err("profile: cannot profile itself".into());
     }
-    if !profile::enabled() {
-        return Err(
-            "profile: this build carries no profiler instrumentation \
-             (rebuild with `cargo build --release --features profile`)"
-                .into(),
-        );
-    }
     profile::set_wall_period_nanos(period.max(1));
     profile::reset();
     // The root frame names the profiled subcommand, so multi-command
     // sessions stay distinguishable in the merged flamegraph.
-    let root: &'static str = Box::leak(format!("cmd.{}", rest[0]).into_boxed_str());
+    let root = command_stage(&rest);
     let mut code = ExitCode::SUCCESS;
     for _ in 0..passes {
-        let _root = profile::scope(root);
+        let _root = telemetry::stage(root);
         code = dispatch(&rest)?;
     }
     let rendered = profile::render_collapsed();

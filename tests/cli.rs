@@ -304,6 +304,9 @@ fn cli_telemetry_flags() {
         stderr.contains("wire.patterns.table_cache.misses"),
         "pattern cache counters missing from --stats: {stderr}"
     );
+    for row in ["stage times:", "cmd.wire", "wire.decompress", "wire.decode.join"] {
+        assert!(stderr.contains(row), "stage times missing {row}: {stderr}");
+    }
 
     // --metrics=PATH dumps a registry snapshot holding the same total.
     let (_, stderr, ok) = run(
@@ -333,6 +336,14 @@ fn cli_telemetry_flags() {
     let (stdout, stderr, ok) = run(&["telemetry", "check", "trace.jsonl"], &dir);
     assert!(ok, "telemetry check failed: {stderr}");
     assert!(stdout.contains("trace lines ok"), "{stdout}");
+
+    // `--trace FILE` after `telemetry check` names the file to check:
+    // it is read, not truncated as a trace destination.
+    let kept = std::fs::read(dir.join("trace.jsonl")).unwrap();
+    let (stdout, stderr, ok) = run(&["telemetry", "check", "--trace", "trace.jsonl"], &dir);
+    assert!(ok, "telemetry check --trace failed: {stderr}");
+    assert!(stdout.contains("trace lines ok"), "{stdout}");
+    assert_eq!(std::fs::read(dir.join("trace.jsonl")).unwrap(), kept);
 
     // Multiple trace files in one invocation, reported per file.
     let (stdout, stderr, ok) = run(

@@ -91,6 +91,48 @@ fn whole_pipeline_populates_metrics_and_trace() {
         "section byte gauges must sum exactly to the wire-module size"
     );
 
+    // Stage self times: the stages under `wire.decompress` split each
+    // root's total exactly. Both come from the same clock reads, so
+    // there is no tolerance.
+    let images: Vec<Vec<u8>> = benchmarks()
+        .iter()
+        .map(|b| {
+            let module = b.compile().expect("corpus compiles");
+            wire_compress(&module, WireOptions::default())
+                .expect("wire pack")
+                .bytes
+        })
+        .collect();
+    let before = metrics();
+    for bytes in &images {
+        decompress_budgeted(bytes, &Budget::default()).expect("decodes");
+    }
+    let after = metrics();
+    let delta = |name: &str| after.counter(name).unwrap() - before.counter(name).unwrap_or(0);
+    assert_eq!(delta("stage.wire.decompress.calls"), images.len() as u64);
+    let self_sum: u64 = after
+        .counters
+        .iter()
+        .filter(|(n, _)| n.starts_with("stage.") && n.ends_with(".self_ns"))
+        .map(|(n, _)| delta(n))
+        .sum();
+    assert_eq!(self_sum, delta("stage.wire.decompress.total_ns"));
+    for child in [
+        "frame",
+        "inflate",
+        "tables",
+        "huffman",
+        "table_build",
+        "mtf",
+        "literals",
+        "join",
+        "slice",
+    ] {
+        let name = format!("stage.wire.decode.{child}.calls");
+        assert!(delta(&name) > 0, "{name} never closed");
+    }
+    assert!(delta("stage.flate.inflate.calls") > 0);
+
     // Budget gauges mirror the shared meter exactly.
     budget.publish_telemetry();
     let snap = metrics();

@@ -8,7 +8,7 @@
 
 use code_compression::brisc::interp::BriscMachine;
 use code_compression::brisc::{compress as brisc_compress, BriscOptions};
-use code_compression::core::telemetry;
+use code_compression::core::{profile, telemetry};
 use code_compression::core::{Budget, DecodeLimits};
 use code_compression::corpus::benchmarks;
 use code_compression::flate::{deflate_compress, inflate, CompressionLevel};
@@ -27,7 +27,17 @@ fn pipeline_without_collector_leaves_no_telemetry_state() {
     telemetry::gauge_max("x", 1);
     telemetry::histogram_record("x", 1);
     telemetry::event("x", vec![("k", 1u64.into())]);
-    telemetry::span("x").end();
+
+    // With no sink live a stage pushes no frame: ticks of a virtual
+    // clock armed while the pair is open find an empty stage path.
+    {
+        let _outer = telemetry::stage("x");
+        let _inner = telemetry::stage("x.y");
+        profile::set_virtual_period(1);
+        profile::tick(10);
+        profile::set_virtual_period(0);
+    }
+    assert!(profile::collapsed().is_empty(), "{:?}", profile::collapsed());
 
     // A full pipeline pass: compile, wire round-trip, flate round-trip,
     // brisc compress and run, budget publishing.
