@@ -70,36 +70,19 @@ impl SplitStreams {
     ///
     /// [`CoreError`] if a stream underflows or a symbol is out of range.
     pub fn join(&self) -> Result<Vec<Tree>, CoreError> {
-        self.clone().join_consuming()
+        Self::join_parts(&self.patterns, &self.pattern_stream, self.literals.clone())
     }
 
-    /// [`Self::join`] that consumes the streams instead of cloning them.
+    /// [`Self::join`] over borrowed pattern parts that consumes the
+    /// literal streams: callers that intern the decoded pattern table
+    /// (wire's payload-keyed cache) reassemble against a shared
+    /// `&[TreePattern]` without cloning it.
     ///
-    /// This is the decode hot path: the generic joiner rendered a
-    /// stream-key `String` and chased a `BTreeMap` cursor for *every*
-    /// literal. Here the slot→stream mapping is resolved once per
-    /// distinct pattern (memoized against the sorted key list) and
-    /// literals are moved out of their streams in order, so the
-    /// per-literal work is one indexed iterator step. Missing-stream
-    /// and underflow errors still surface at the same consumption
-    /// point, with the same messages, as [`Self::join`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::join`].
-    pub fn join_consuming(self) -> Result<Vec<Tree>, CoreError> {
-        let SplitStreams {
-            patterns,
-            pattern_stream,
-            literals,
-        } = self;
-        Self::join_parts(&patterns, &pattern_stream, literals)
-    }
-
-    /// [`Self::join_consuming`] over borrowed pattern parts: callers
-    /// that intern the decoded pattern table (wire's payload-keyed
-    /// cache) reassemble against a shared `&[TreePattern]` without
-    /// cloning it, consuming only the literal streams.
+    /// This is the decode hot path. The slot→stream mapping is resolved
+    /// once per distinct pattern (memoized against the sorted key list)
+    /// and literals are moved out of their streams in order, so the
+    /// per-literal work is one indexed iterator step. A missing stream
+    /// or an underflow surfaces where the slot is consumed.
     ///
     /// # Errors
     ///
@@ -168,11 +151,6 @@ impl SplitStreams {
             out.push(tree);
         }
         Ok(out)
-    }
-
-    /// Total number of literals across all streams.
-    pub fn literal_count(&self) -> usize {
-        self.literals.values().map(Vec::len).sum()
     }
 }
 
@@ -282,6 +260,6 @@ mod tests {
         let split = SplitStreams::split(&[]);
         assert!(split.patterns.is_empty());
         assert_eq!(split.join().unwrap(), Vec::<Tree>::new());
-        assert_eq!(split.literal_count(), 0);
+        assert!(split.literals.is_empty());
     }
 }

@@ -653,41 +653,6 @@ impl TraceSink for RingSink {
     }
 }
 
-/// Fans one record out to several sinks (e.g. a file plus a ring).
-#[derive(Default)]
-pub struct TeeSink {
-    sinks: Vec<Arc<dyn TraceSink>>,
-}
-
-impl std::fmt::Debug for TeeSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TeeSink")
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
-
-impl TeeSink {
-    /// A tee over the given sinks.
-    pub fn new(sinks: Vec<Arc<dyn TraceSink>>) -> TeeSink {
-        TeeSink { sinks }
-    }
-}
-
-impl TraceSink for TeeSink {
-    fn record(&self, event: &TraceEvent) {
-        for s in &self.sinks {
-            s.record(event);
-        }
-    }
-
-    fn flush(&self) {
-        for s in &self.sinks {
-            s.flush();
-        }
-    }
-}
-
 // ---- global collector -------------------------------------------------------
 
 /// The installed observability surface: a metrics registry and an

@@ -52,11 +52,6 @@ impl TreePattern {
                 .sum::<usize>()
     }
 
-    /// The literal-stream key of this node, e.g. `"ADDRLP8"` or `"CNSTC"`.
-    pub fn stream_key(&self) -> StreamKeyStr {
-        StreamKeyStr(stream_key_of(self.op, self.width))
-    }
-
     /// Visits nodes in prefix order.
     pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a TreePattern)) {
         f(self);
@@ -65,37 +60,14 @@ impl TreePattern {
         }
     }
 
-    /// Rebuilds a tree from this pattern, drawing literals from `next`,
-    /// which receives the stream key of each literal slot in prefix order.
+    /// Rebuilds a tree from this pattern, drawing one literal per slot
+    /// from `next` in prefix order. Callers resolve each slot's stream
+    /// up front (see [`stream_key_of`]), so no key is rendered per slot.
     ///
     /// # Errors
     ///
     /// Whatever `next` returns, or a build error string, when the
     /// supplied literals do not fit the operator signature.
-    pub fn rebuild(
-        &self,
-        next: &mut impl FnMut(&str) -> Result<Literal, crate::CoreError>,
-    ) -> Result<Tree, crate::CoreError> {
-        let literal = if self.has_literal {
-            Some(next(&stream_key_of(self.op, self.width))?)
-        } else {
-            None
-        };
-        let mut kids = Vec::with_capacity(self.kids.len());
-        for k in &self.kids {
-            kids.push(k.rebuild(next)?);
-        }
-        Tree::build(self.op, literal, kids).map_err(|e| crate::CoreError::Mismatch(e.to_string()))
-    }
-
-    /// Keyless [`Self::rebuild`]: draws one literal per slot in prefix
-    /// order without rendering stream keys. Callers that resolved the
-    /// slot→stream mapping up front (via [`Self::slot_stream_keys`])
-    /// use this to skip the per-slot `String` allocation.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::rebuild`].
     pub fn rebuild_slots(
         &self,
         next: &mut impl FnMut() -> Result<Literal, crate::CoreError>,
@@ -107,31 +79,10 @@ impl TreePattern {
         }
         Tree::build(self.op, literal, kids).map_err(|e| crate::CoreError::Mismatch(e.to_string()))
     }
-
-    /// Stream key of every literal slot, in the prefix order
-    /// [`Self::rebuild`] and [`Self::rebuild_slots`] consume them.
-    pub fn slot_stream_keys(&self) -> Vec<String> {
-        let mut keys = Vec::with_capacity(self.literal_slots());
-        self.walk(&mut |node| {
-            if node.has_literal {
-                keys.push(stream_key_of(node.op, node.width));
-            }
-        });
-        keys
-    }
 }
 
-/// A literal-stream key rendered as the paper renders it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StreamKeyStr(pub String);
-
-impl fmt::Display for StreamKeyStr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// The stream key for an operator/width pair.
+/// The literal-stream key for an operator/width pair, rendered as the
+/// paper renders it, e.g. `"ADDRLP8"` or `"CNSTC"`.
 pub fn stream_key_of(op: Op, width: Width) -> String {
     let mut key = op.mnemonic();
     if matches!(op.opcode, Opcode::AddrL | Opcode::AddrF) && width != Width::W32 {
@@ -205,23 +156,12 @@ mod tests {
 
     #[test]
     fn stream_keys() {
-        assert_eq!(
-            TreePattern::of(&Tree::addr_local(72)).stream_key().0,
-            "ADDRLP8"
-        );
-        assert_eq!(
-            TreePattern::of(&Tree::addr_local(300)).stream_key().0,
-            "ADDRLP16"
-        );
-        assert_eq!(
-            TreePattern::of(&Tree::addr_local(100_000)).stream_key().0,
-            "ADDRLP"
-        );
-        assert_eq!(
-            TreePattern::of(&Tree::cnst(IrType::C, 1)).stream_key().0,
-            "CNSTC"
-        );
-        assert_eq!(TreePattern::of(&Tree::label(1)).stream_key().0, "LABELV");
+        let key = |t: Tree| stream_key_of(t.op(), t.width());
+        assert_eq!(key(Tree::addr_local(72)), "ADDRLP8");
+        assert_eq!(key(Tree::addr_local(300)), "ADDRLP16");
+        assert_eq!(key(Tree::addr_local(100_000)), "ADDRLP");
+        assert_eq!(key(Tree::cnst(IrType::C, 1)), "CNSTC");
+        assert_eq!(key(Tree::label(1)), "LABELV");
     }
 
     #[test]
@@ -233,7 +173,7 @@ mod tests {
         collect(&original, &mut lits);
         let mut iter = lits.into_iter();
         let rebuilt = pattern
-            .rebuild(&mut |_key| {
+            .rebuild_slots(&mut || {
                 iter.next()
                     .ok_or_else(|| crate::CoreError::StreamUnderflow("out".into()))
             })

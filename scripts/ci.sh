@@ -13,8 +13,11 @@ cargo test -q --offline
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# The pipeline benchmark is a package of its own; run its self-tests
-# (read-only: they build and check, they write no results).
+# The pipeline benchmark is a package of its own; lint it and run its
+# self-tests (read-only: they build and check, they write no results).
+echo "==> pipebench clippy -D warnings"
+cargo clippy --offline --manifest-path pipebench/Cargo.toml --all-targets -- -D warnings
+
 echo "==> pipebench self-tests"
 cargo test -q --offline --manifest-path pipebench/Cargo.toml
 

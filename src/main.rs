@@ -1,19 +1,5 @@
 //! `codecomp` — the command-line face of the code-compression toolkit.
-//!
-//! ```text
-//! codecomp compile <src.c> [-o out.ccir]     compile mini-C to binary IR
-//! codecomp dis <src.c|.ccir>                 show the OmniVM assembly
-//! codecomp run <file> [--tier T] [-- args]   execute (ir|vm|brisc|jit)
-//! codecomp wire pack <src.c|.ccir> [-o F]    produce a wire image (.ccwf)
-//! codecomp wire unpack <in.ccwf> [-o F]      recover the binary IR
-//! codecomp wire info <in.ccwf>               per-section byte accounting
-//! codecomp brisc pack <src.c|.ccir> [-o F]   produce a BRISC image (.ccbr)
-//! codecomp brisc run <in.ccbr> [-- args]     interpret the image in place
-//! codecomp brisc info <in.ccbr>              dictionary / model statistics
-//! codecomp fuzz [--target T] [--cases N]     coverage-guided fuzzing campaign
-//! codecomp profile <subcommand...>           collapsed-stack self-profile of a command
-//! codecomp serve-sim [--clients N] [...]     demand-paging server soak simulation
-//! ```
+//! `codecomp help` lists the commands and their flags.
 
 use code_compression::brisc::interp::BriscMachine;
 use code_compression::brisc::translate::translate;
@@ -42,6 +28,7 @@ use code_compression::core::telemetry;
 use code_compression::wire::{
     compress as wire_compress, decompress, decompress_budgeted, DemandImage, WireOptions,
 };
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -100,39 +87,6 @@ impl TelemetryFlags {
     fn any(&self) -> bool {
         self.stats || self.metrics.is_some() || self.trace.is_some()
     }
-}
-
-/// Strips the global telemetry flags out of `args` (they are accepted
-/// anywhere before `--`) and returns what they asked for. Only the
-/// `--trace=PATH` form is global: a bare `--trace` belongs to the
-/// command (`telemetry check --trace FILE` names a file to read).
-fn extract_telemetry(args: &mut Vec<String>) -> Result<TelemetryFlags, AnyError> {
-    let mut t = TelemetryFlags {
-        stats: false,
-        metrics: None,
-        trace: None,
-    };
-    let mut kept = Vec::new();
-    let mut it = std::mem::take(args).into_iter();
-    while let Some(a) = it.next() {
-        if a == "--stats" {
-            t.stats = true;
-        } else if a == "--metrics" {
-            t.metrics = Some(None);
-        } else if let Some(p) = a.strip_prefix("--metrics=") {
-            t.metrics = Some(Some(p.to_string()));
-        } else if let Some(p) = a.strip_prefix("--trace=") {
-            t.trace = Some(p.to_string());
-        } else if a == "--" {
-            kept.push(a);
-            kept.extend(it);
-            break;
-        } else {
-            kept.push(a);
-        }
-    }
-    *args = kept;
-    Ok(t)
 }
 
 /// Installs the process-wide collector the flags ask for.
@@ -259,56 +213,18 @@ fn print_stream_table(snap: &telemetry::Snapshot, dir: &str) -> bool {
     true
 }
 
-/// Compact per-stage counter summary below the stream table.
+/// Every counter the run recorded outside the stage times, by name.
 fn print_stage_counters(snap: &telemetry::Snapshot) {
-    let interesting = [
-        "front.tokens",
-        "front.decls",
-        "ir.nodes.arith",
-        "vm.codegen.instrs",
-        "coding.huffman.bits_emitted",
-        "coding.mtf.hits",
-        "coding.mtf.misses",
-        "flate.inflate.output_bytes",
-        "flate.deflate.input_bytes",
-        "wire.encode.symbols",
-        "wire.decode.symbols",
-        "coding.huffman.table_cache.hits",
-        "coding.huffman.table_cache.misses",
-        "coding.huffman.table_cache.evictions",
-        "flate.inflate.table_cache.hits",
-        "flate.inflate.table_cache.misses",
-        "flate.inflate.table_cache.evictions",
-        "wire.patterns.table_cache.hits",
-        "wire.patterns.table_cache.misses",
-        "wire.patterns.table_cache.evictions",
-        "brisc.interp.dispatches",
-        "brisc.interp.fuel_consumed",
-        "serve.requests",
-        "serve.delivered",
-        "serve.failed",
-        "serve.retries",
-        "serve.shed",
-        "serve.timeouts",
-        "serve.corrupt_deliveries",
-        "serve.source_corrupt",
-        "serve.breaker.opens",
-        "serve.breaker.rejects",
-        "serve.cache.hits",
-        "serve.cache.misses",
-        "serve.cache.evictions",
-        "serve.raw_fallbacks",
-        "serve.channel.faults",
-    ];
-    let mut any = false;
-    for name in interesting {
-        if let Some(v) = snap.counter(name) {
-            if !any {
-                eprintln!("stage counters:");
-                any = true;
-            }
-            eprintln!("  {name:>28}: {v}");
-        }
+    let rows: Vec<_> = snap
+        .counters
+        .iter()
+        .filter(|(name, _)| !name.starts_with("stage."))
+        .collect();
+    if !rows.is_empty() {
+        eprintln!("stage counters:");
+    }
+    for (name, v) in rows {
+        eprintln!("  {name:>28}: {v}");
     }
 }
 
@@ -326,17 +242,19 @@ impl Drop for TraceFlushGuard {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut run = || -> Result<ExitCode, AnyError> {
-        let tflags = extract_telemetry(&mut args)?;
+    let run = || -> Result<ExitCode, AnyError> {
+        let mut args = Args::new("codecomp", std::env::args().skip(1).collect());
+        // Only the `--trace=PATH` form is global: a bare `--trace` is
+        // `telemetry check`'s own switch.
+        let bare_metrics = args.switch("--metrics");
+        let tflags = TelemetryFlags {
+            stats: args.switch("--stats"),
+            metrics: args.assigned("--metrics").map(Some).or(bare_metrics.then_some(None)),
+            trace: args.assigned("--trace"),
+        };
         install_telemetry(&tflags)?;
         let _flush = TraceFlushGuard;
-        let code = {
-            // The command's own stage: its self time is the part of the
-            // run no pipeline stage explains.
-            let _cmd = telemetry::stage(command_stage(&args));
-            dispatch(&args)?
-        };
+        let code = dispatch(args.into_words())?;
         report_telemetry(&tflags)?;
         Ok(code)
     };
@@ -351,45 +269,39 @@ fn main() -> ExitCode {
 
 type AnyError = Box<dyn std::error::Error>;
 
-/// The root stage name for a command line: `cmd.<command>`.
-fn command_stage(args: &[String]) -> &'static str {
-    let name = args.first().map_or("help", String::as_str);
-    Box::leak(format!("cmd.{name}").into_boxed_str())
+type Command = fn(Args) -> Result<ExitCode, AnyError>;
+
+/// Runs the command the leading words name inside its `cmd.*` stage,
+/// whose self time is the part of the run no pipeline stage explains.
+fn dispatch(words: Vec<String>) -> Result<ExitCode, AnyError> {
+    let word = |i: usize| words.get(i).map_or("", String::as_str);
+    let (name, stage, command): (&'static str, &'static str, Command) = match (word(0), word(1)) {
+        ("compile", _) => ("compile", "cmd.compile", cmd_compile),
+        ("dis", _) => ("dis", "cmd.dis", cmd_dis),
+        ("run", _) => ("run", "cmd.run", cmd_run),
+        ("wire", "pack") => ("wire pack", "cmd.wire", cmd_wire_pack),
+        ("wire", "unpack") => ("wire unpack", "cmd.wire", cmd_wire_unpack),
+        ("wire", "info") => ("wire info", "cmd.wire", cmd_wire_info),
+        ("brisc", "pack") => ("brisc pack", "cmd.brisc", cmd_brisc_pack),
+        ("brisc", "run") => ("brisc run", "cmd.brisc", cmd_brisc_run),
+        ("brisc", "info") => ("brisc info", "cmd.brisc", cmd_brisc_info),
+        ("telemetry", "check") => ("telemetry check", "cmd.telemetry", cmd_telemetry_check),
+        ("fuzz", _) => ("fuzz", "cmd.fuzz", cmd_fuzz),
+        ("profile", _) => ("profile", "cmd.profile", cmd_profile),
+        ("serve-sim", _) => ("serve-sim", "cmd.serve-sim", cmd_serve_sim),
+        ("help" | "--help" | "-h", _) => {
+            outln!("{USAGE}")?;
+            return Ok(ExitCode::SUCCESS);
+        }
+        ("" | "wire" | "brisc" | "telemetry", _) => return Err(USAGE.into()),
+        (other, _) => return Err(format!("unknown command {other:?} (try `codecomp help`)").into()),
+    };
+    let rest = words.into_iter().skip(name.split(' ').count()).collect();
+    let _stage = telemetry::stage(stage);
+    command(Args::new(name, rest))
 }
 
-fn dispatch(args: &[String]) -> Result<ExitCode, AnyError> {
-    let mut it = args.iter().map(String::as_str);
-    match it.next() {
-        Some("compile") => cmd_compile(&args[1..]),
-        Some("dis") => cmd_dis(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("wire") => match it.next() {
-            Some("pack") => cmd_wire_pack(&args[2..]),
-            Some("unpack") => cmd_wire_unpack(&args[2..]),
-            Some("info") => cmd_wire_info(&args[2..]),
-            _ => usage(),
-        },
-        Some("brisc") => match it.next() {
-            Some("pack") => cmd_brisc_pack(&args[2..]),
-            Some("run") => cmd_brisc_run(&args[2..]),
-            Some("info") => cmd_brisc_info(&args[2..]),
-            _ => usage(),
-        },
-        Some("telemetry") => match it.next() {
-            Some("check") => cmd_telemetry_check(&args[2..]),
-            _ => usage(),
-        },
-        Some("fuzz") => cmd_fuzz(&args[1..]),
-        Some("profile") => cmd_profile(&args[1..]),
-        Some("serve-sim") => cmd_serve_sim(&args[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => usage(),
-        Some(other) => Err(format!("unknown command {other:?} (try `codecomp help`)").into()),
-    }
-}
-
-fn usage() -> Result<ExitCode, AnyError> {
-    eprintln!(
-        "usage:
+const USAGE: &str = "usage:
   codecomp compile <src.c> [-o out.ccir]
   codecomp dis <src.c|.ccir>
   codecomp run <src.c|.ccir|.ccwf|.ccbr> [--tier ir|vm|brisc|jit]
@@ -398,7 +310,8 @@ fn usage() -> Result<ExitCode, AnyError> {
   codecomp wire unpack <in.ccwf> [-o out.ccir]
   codecomp wire info <in.ccwf>
   codecomp brisc pack <src.c|.ccir> [-o out.ccbr]
-  codecomp brisc run <in.ccbr> [--fuel N] [--max-output N] [-- args...]
+  codecomp brisc run <in.ccbr> [--fuel N] [--max-output N] [--max-resident N]
+                     [-- args...]
   codecomp brisc info <in.ccbr>
   codecomp telemetry check [--trace|--stream|--collapsed] <file.jsonl>...
   codecomp fuzz [--target wire|gzip|demand|brisc|all] [--cases N] [--seed N]
@@ -408,15 +321,145 @@ fn usage() -> Result<ExitCode, AnyError> {
                      [--fault-rate N|N/D] [--corrupt N] [--workers N]
                      [--cache SIZE] [--channels modem,lan,disk]
                      [--metrics-interval MS] [--metrics-stream PATH]
+  codecomp help
 
 global telemetry flags (any command, before `--`):
   --stats              stream breakdown and stage times tables (stderr)
   --metrics[=PATH]     metrics-registry JSON dump (stdout, or PATH)
   --trace=PATH         structured JSON-lines trace
 
-sizes accept k/m/g suffixes: --fuel 64k, --max-output 1m, --max-resident 2g"
-    );
-    Ok(ExitCode::FAILURE)
+counts and sizes accept k/m/g suffixes: --fuel 64k, --max-output 1m, --cases 2k";
+
+/// The command line, read by pulling: `main` takes the global flags,
+/// then each command takes the flags it reads by name and finally its
+/// positionals. A word left over that starts with `-` is an unknown
+/// argument. Flags are only looked for before `--`; the words after it
+/// are the program's arguments.
+struct Args {
+    /// The command being read, for error messages.
+    cmd: &'static str,
+    /// The words before `--` that no pull has taken.
+    words: Vec<String>,
+    /// The words after `--`, if it was given.
+    tail: Option<Vec<String>>,
+}
+
+impl Args {
+    fn new(cmd: &'static str, mut words: Vec<String>) -> Args {
+        let tail = words.iter().position(|w| w == "--").map(|at| {
+            let tail = words.split_off(at + 1);
+            words.pop();
+            tail
+        });
+        Args { cmd, words, tail }
+    }
+
+    /// Whether the switch `name` was given.
+    fn switch(&mut self, name: &str) -> bool {
+        let before = self.words.len();
+        self.words.retain(|w| w != name);
+        self.words.len() < before
+    }
+
+    /// The value of the last `name=VALUE`.
+    fn assigned(&mut self, name: &str) -> Option<String> {
+        let mut value = None;
+        self.words.retain(|w| match w.strip_prefix(name).and_then(|v| v.strip_prefix('=')) {
+            Some(v) => {
+                value = Some(v.to_string());
+                false
+            }
+            None => true,
+        });
+        value
+    }
+
+    /// The value of the last `name VALUE`.
+    fn string(&mut self, name: &str) -> Result<Option<String>, AnyError> {
+        let mut value = None;
+        while let Some(at) = self.words.iter().position(|w| w == name) {
+            self.words.remove(at);
+            if at == self.words.len() {
+                return Err(format!("{name} needs a value").into());
+            }
+            value = Some(self.words.remove(at));
+        }
+        Ok(value)
+    }
+
+    /// A count or byte size, with an optional k/m/g suffix.
+    fn size(&mut self, name: &str) -> Result<Option<u64>, AnyError> {
+        self.string(name)?.map(|v| parse_size(name, &v)).transpose()
+    }
+
+    /// A plain integer, for seeds.
+    fn int(&mut self, name: &str) -> Result<Option<u64>, AnyError> {
+        let Some(v) = self.string(name)? else {
+            return Ok(None);
+        };
+        let n = v.parse().map_err(|_| format!("{name} expects an integer, got {v:?}"))?;
+        Ok(Some(n))
+    }
+
+    /// The integers after `--`: the program's arguments.
+    fn program_args(&mut self) -> Result<Vec<i64>, AnyError> {
+        let tail = self.tail.take().unwrap_or_default();
+        tail.iter()
+            .map(|t| {
+                t.parse()
+                    .map_err(|_| format!("program arguments must be integers, got {t:?}").into())
+            })
+            .collect()
+    }
+
+    /// The words left once every flag is pulled. Fails on one that looks
+    /// like a flag, and with the usage text unless their count is in `count`.
+    fn positionals(self, count: RangeInclusive<usize>) -> Result<Vec<String>, AnyError> {
+        let leftover = self.words.iter().find(|w| w.starts_with('-'));
+        if let Some(flag) = leftover.map(String::as_str).or(self.tail.as_ref().map(|_| "--")) {
+            return Err(format!("{}: unknown argument {flag:?}", self.cmd).into());
+        }
+        if !count.contains(&self.words.len()) {
+            return Err(format!("{}: wrong number of arguments\n{USAGE}", self.cmd).into());
+        }
+        Ok(self.words)
+    }
+
+    /// The one positional of a command that reads a single input.
+    fn input(self) -> Result<String, AnyError> {
+        Ok(self.positionals(1..=1)?.remove(0))
+    }
+
+    /// The words no pull took, with `--` and the words after it.
+    fn into_words(mut self) -> Vec<String> {
+        if let Some(tail) = self.tail {
+            self.words.push("--".into());
+            self.words.extend(tail);
+        }
+        self.words
+    }
+
+    /// Splits off the command `profile` runs: every word from the first
+    /// one that is neither a flag nor a flag's value (`profile`'s flags
+    /// all take one).
+    fn split_command(&mut self) -> Vec<String> {
+        let at = (0..self.words.len())
+            .step_by(2)
+            .find(|&i| !self.words[i].starts_with('-'))
+            .unwrap_or(self.words.len());
+        let words = self.words.split_off(at);
+        Args { cmd: self.cmd, words, tail: self.tail.take() }.into_words()
+    }
+}
+
+/// The decode limits `--max-output` and `--max-resident` ask for.
+fn decode_limits(a: &mut Args) -> Result<DecodeLimits, AnyError> {
+    let d = DecodeLimits::default();
+    Ok(DecodeLimits {
+        max_output_bytes: a.size("--max-output")?.unwrap_or(d.max_output_bytes),
+        max_resident_bytes: a.size("--max-resident")?.unwrap_or(d.max_resident_bytes),
+        ..d
+    })
 }
 
 /// Parses a size with an optional `k`/`m`/`g` suffix (`64k`, `1m`, `2g`).
@@ -440,73 +483,6 @@ fn parse_size(flag: &str, s: &str) -> Result<u64, AnyError> {
         .ok_or_else(|| format!("{flag}: size {s:?} overflows").into())
 }
 
-/// Splits `args` into (positional, -o value, --tier value, trailing args).
-struct Parsed<'a> {
-    positional: Vec<&'a str>,
-    output: Option<&'a str>,
-    tier: Option<&'a str>,
-    fuel: Option<u64>,
-    max_output: Option<u64>,
-    max_resident: Option<u64>,
-    trailing: Vec<i64>,
-}
-
-impl Parsed<'_> {
-    /// The decode limits the command line asked for (defaults elsewhere).
-    fn decode_limits(&self) -> DecodeLimits {
-        let mut limits = DecodeLimits::default();
-        if let Some(o) = self.max_output {
-            limits.max_output_bytes = o;
-        }
-        if let Some(r) = self.max_resident {
-            limits.max_resident_bytes = r;
-        }
-        limits
-    }
-}
-
-fn parse(args: &[String]) -> Result<Parsed<'_>, AnyError> {
-    let mut p = Parsed {
-        positional: Vec::new(),
-        output: None,
-        tier: None,
-        fuel: None,
-        max_output: None,
-        max_resident: None,
-        trailing: Vec::new(),
-    };
-    let mut it = args.iter().map(String::as_str).peekable();
-    while let Some(a) = it.next() {
-        match a {
-            "-o" => p.output = Some(it.next().ok_or("-o needs a path")?),
-            "--tier" => p.tier = Some(it.next().ok_or("--tier needs a value")?),
-            "--fuel" => {
-                let v = it.next().ok_or("--fuel needs a value")?;
-                p.fuel = Some(parse_size("--fuel", v)?);
-            }
-            "--max-output" => {
-                let v = it.next().ok_or("--max-output needs a value")?;
-                p.max_output = Some(parse_size("--max-output", v)?);
-            }
-            "--max-resident" => {
-                let v = it.next().ok_or("--max-resident needs a value")?;
-                p.max_resident = Some(parse_size("--max-resident", v)?);
-            }
-            "--" => {
-                for t in it.by_ref() {
-                    p.trailing.push(
-                        t.parse::<i64>().map_err(|_| {
-                            format!("program arguments must be integers, got {t:?}")
-                        })?,
-                    );
-                }
-            }
-            other => p.positional.push(other),
-        }
-    }
-    Ok(p)
-}
-
 /// Loads a module from a `.c` source or `.ccir` binary file.
 fn load_module(path: &str) -> Result<Module, AnyError> {
     if path.ends_with(".ccir") {
@@ -528,55 +504,52 @@ fn replace_ext(path: &str, ext: &str) -> String {
     format!("{stem}.{ext}")
 }
 
-fn cmd_compile(args: &[String]) -> Result<ExitCode, AnyError> {
-    let p = parse(args)?;
-    let [input] = p.positional[..] else {
-        return usage();
-    };
-    let module = load_module(input)?;
+fn cmd_compile(mut a: Args) -> Result<ExitCode, AnyError> {
+    let out = a.string("-o")?;
+    let input = a.input()?;
+    let module = load_module(&input)?;
     let bytes = encode_module(&module)?;
-    let out = p
-        .output
-        .map(str::to_string)
-        .unwrap_or_else(|| replace_ext(input, "ccir"));
+    let out = out.unwrap_or_else(|| replace_ext(&input, "ccir"));
     write_output(&out, &bytes, "binary IR")?;
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_dis(args: &[String]) -> Result<ExitCode, AnyError> {
-    let p = parse(args)?;
-    let [input] = p.positional[..] else {
-        return usage();
-    };
-    let module = load_module(input)?;
+fn cmd_dis(a: Args) -> Result<ExitCode, AnyError> {
+    let module = load_module(&a.input()?)?;
     let vm = compile_module(&module, IsaConfig::full())?;
     // Tolerate a closed pipe (`codecomp dis … | head`).
     out!("{vm}")?;
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_run(args: &[String]) -> Result<ExitCode, AnyError> {
-    let p = parse(args)?;
-    let [input] = p.positional[..] else {
-        return usage();
-    };
-    let tier = p.tier.unwrap_or("vm");
+fn cmd_run(mut a: Args) -> Result<ExitCode, AnyError> {
+    let tier = a.string("--tier")?;
+    let fuel = a.size("--fuel")?.unwrap_or(FUEL);
+    let limits = decode_limits(&mut a)?;
+    let args = a.program_args()?;
+    let input = a.input()?;
 
     // Compressed images run directly, under the requested decode limits.
-    let fuel = p.fuel.unwrap_or(FUEL);
-    let limits = p.decode_limits();
     if input.ends_with(".ccbr") {
-        return run_brisc_image(input, &p.trailing, fuel, limits);
+        if let Some(tier) = tier.filter(|t| t != "brisc") {
+            return Err(format!(
+                "run: a BRISC image only runs on the brisc tier, not {tier:?}"
+            )
+            .into());
+        }
+        return run_brisc_image(&input, &args, fuel, limits);
     }
-    if input.ends_with(".ccwf") {
-        let bytes = std::fs::read(input)?;
+    let tier = tier.as_deref().unwrap_or("vm");
+    let module = if input.ends_with(".ccwf") {
+        let bytes = std::fs::read(&input)?;
         let budget = Budget::new(limits);
         let module = decompress_budgeted(&bytes, &budget)?;
         budget.publish_telemetry();
-        return finish(run_module(&module, tier, &p.trailing, fuel)?);
-    }
-    let module = load_module(input)?;
-    finish(run_module(&module, tier, &p.trailing, fuel)?)
+        module
+    } else {
+        load_module(&input)?
+    };
+    finish(run_module(&module, tier, &args, fuel)?)
 }
 
 /// Runs a module under the requested tier; returns (value, output).
@@ -614,18 +587,13 @@ fn finish((value, output): (i64, Vec<u8>)) -> Result<ExitCode, AnyError> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_wire_pack(args: &[String]) -> Result<ExitCode, AnyError> {
-    let p = parse(args)?;
-    let [input] = p.positional[..] else {
-        return usage();
-    };
-    let module = load_module(input)?;
+fn cmd_wire_pack(mut a: Args) -> Result<ExitCode, AnyError> {
+    let out = a.string("-o")?;
+    let input = a.input()?;
+    let module = load_module(&input)?;
     let packed = wire_compress(&module, WireOptions::default())?;
     let raw = encode_module(&module)?;
-    let out = p
-        .output
-        .map(str::to_string)
-        .unwrap_or_else(|| replace_ext(input, "ccwf"));
+    let out = out.unwrap_or_else(|| replace_ext(&input, "ccwf"));
     write_output(&out, &packed.bytes, "wire image")?;
     outln!(
         "uncompressed tree code: {} bytes ({:.2}x)",
@@ -635,27 +603,18 @@ fn cmd_wire_pack(args: &[String]) -> Result<ExitCode, AnyError> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_wire_unpack(args: &[String]) -> Result<ExitCode, AnyError> {
-    let p = parse(args)?;
-    let [input] = p.positional[..] else {
-        return usage();
-    };
-    let bytes = std::fs::read(input)?;
+fn cmd_wire_unpack(mut a: Args) -> Result<ExitCode, AnyError> {
+    let out = a.string("-o")?;
+    let input = a.input()?;
+    let bytes = std::fs::read(&input)?;
     let module = decompress(&bytes)?;
-    let out = p
-        .output
-        .map(str::to_string)
-        .unwrap_or_else(|| replace_ext(input, "ccir"));
+    let out = out.unwrap_or_else(|| replace_ext(&input, "ccir"));
     write_output(&out, &encode_module(&module)?, "binary IR")?;
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_wire_info(args: &[String]) -> Result<ExitCode, AnyError> {
-    let p = parse(args)?;
-    let [input] = p.positional[..] else {
-        return usage();
-    };
-    let bytes = std::fs::read(input)?;
+fn cmd_wire_info(a: Args) -> Result<ExitCode, AnyError> {
+    let bytes = std::fs::read(a.input()?)?;
     let module = decompress(&bytes)?;
     // Re-compress to recover the section accounting.
     let packed = wire_compress(&module, WireOptions::default())?;
@@ -670,18 +629,13 @@ fn cmd_wire_info(args: &[String]) -> Result<ExitCode, AnyError> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_brisc_pack(args: &[String]) -> Result<ExitCode, AnyError> {
-    let p = parse(args)?;
-    let [input] = p.positional[..] else {
-        return usage();
-    };
-    let module = load_module(input)?;
+fn cmd_brisc_pack(mut a: Args) -> Result<ExitCode, AnyError> {
+    let out = a.string("-o")?;
+    let input = a.input()?;
+    let module = load_module(&input)?;
     let vm = compile_module(&module, IsaConfig::full())?;
     let report = brisc_compress(&vm, BriscOptions::default())?;
-    let out = p
-        .output
-        .map(str::to_string)
-        .unwrap_or_else(|| replace_ext(input, "ccbr"));
+    let out = out.unwrap_or_else(|| replace_ext(&input, "ccbr"));
     write_output(&out, &report.image.to_bytes(), "brisc image")?;
     outln!(
         "code: {} bytes from {} VM bytes; dictionary {} entries ({} passes)",
@@ -715,40 +669,31 @@ fn run_brisc_image(
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_brisc_run(args: &[String]) -> Result<ExitCode, AnyError> {
-    let p = parse(args)?;
-    let [input] = p.positional[..] else {
-        return usage();
-    };
-    run_brisc_image(input, &p.trailing, p.fuel.unwrap_or(FUEL), p.decode_limits())
+fn cmd_brisc_run(mut a: Args) -> Result<ExitCode, AnyError> {
+    let fuel = a.size("--fuel")?.unwrap_or(FUEL);
+    let limits = decode_limits(&mut a)?;
+    let args = a.program_args()?;
+    run_brisc_image(&a.input()?, &args, fuel, limits)
 }
 
-fn cmd_telemetry_check(args: &[String]) -> Result<ExitCode, AnyError> {
+fn cmd_telemetry_check(mut a: Args) -> Result<ExitCode, AnyError> {
     // Three line schemas share this checker: trace events (default),
     // delta-encoded metric streams, and collapsed profiler stacks.
-    let mut kind = "trace";
-    let mut inputs = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "--trace" => kind = "trace",
-            "--stream" => kind = "stream",
-            "--collapsed" => kind = "collapsed",
-            other if other.starts_with('-') => {
-                return Err(format!("telemetry check: unknown flag {other:?}").into());
-            }
-            other => inputs.push(other),
-        }
-    }
-    if inputs.is_empty() {
-        return usage();
-    }
+    a.switch("--trace"); // names the default
+    let kind = if a.switch("--stream") {
+        "stream"
+    } else if a.switch("--collapsed") {
+        "collapsed"
+    } else {
+        "trace"
+    };
     let validate: fn(&str) -> Result<(), String> = match kind {
         "stream" => telemetry::stream::validate_stream_line,
         "collapsed" => profile::validate_collapsed_line,
         _ => telemetry::validate_trace_line,
     };
-    for input in &inputs {
-        let text = std::fs::read_to_string(input)?;
+    for input in a.positionals(1..=usize::MAX)? {
+        let text = std::fs::read_to_string(&input)?;
         let mut checked = 0usize;
         for (i, line) in text.lines().enumerate() {
             if line.is_empty() {
@@ -765,44 +710,25 @@ fn cmd_telemetry_check(args: &[String]) -> Result<ExitCode, AnyError> {
 /// `codecomp profile <subcommand...>`: runs the subcommand under the
 /// in-tree sampling self-profiler and writes its collapsed-stack
 /// profile, keyed by the open `telemetry::stage` path.
-fn cmd_profile(args: &[String]) -> Result<ExitCode, AnyError> {
-    let mut out_path = "profile.folded".to_string();
-    let mut passes: u64 = 1;
-    let mut period: u64 = 10_000;
-    let mut rest = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out_path = it.next().ok_or("--out needs a path")?.clone(),
-            "--passes" => {
-                let v = it.next().ok_or("--passes needs a value")?;
-                passes = parse_size("--passes", v)?.max(1);
-            }
-            "--period" => {
-                let v = it.next().ok_or("--period needs a value")?;
-                period = parse_size("--period", v)?;
-            }
-            other => {
-                rest.push(other.to_string());
-                rest.extend(it.by_ref().cloned());
-            }
-        }
-    }
-    if rest.is_empty() {
-        return usage();
-    }
-    if rest[0] == "profile" {
-        return Err("profile: cannot profile itself".into());
+fn cmd_profile(mut a: Args) -> Result<ExitCode, AnyError> {
+    let command = a.split_command();
+    let out_path = a.string("--out")?.unwrap_or_else(|| "profile.folded".into());
+    let passes = a.size("--passes")?.unwrap_or(1).max(1);
+    let period = a.size("--period")?.unwrap_or(10_000);
+    a.positionals(0..=0)?;
+    match command.first().map(String::as_str) {
+        None => return Err(USAGE.into()),
+        Some("profile") => return Err("profile: cannot profile itself".into()),
+        Some(_) => {}
     }
     profile::set_wall_period_nanos(period.max(1));
     profile::reset();
-    // The root frame names the profiled subcommand, so multi-command
-    // sessions stay distinguishable in the merged flamegraph.
-    let root = command_stage(&rest);
+    // `dispatch` roots each pass in the profiled command's `cmd.*`
+    // stage, so multi-command sessions stay distinguishable in the
+    // merged flamegraph.
     let mut code = ExitCode::SUCCESS;
     for _ in 0..passes {
-        let _root = telemetry::stage(root);
-        code = dispatch(&rest)?;
+        code = dispatch(command.clone())?;
     }
     let rendered = profile::render_collapsed();
     let samples: u64 = profile::collapsed().iter().map(|&(_, n)| n).sum();
@@ -814,12 +740,8 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, AnyError> {
     Ok(code)
 }
 
-fn cmd_brisc_info(args: &[String]) -> Result<ExitCode, AnyError> {
-    let p = parse(args)?;
-    let [input] = p.positional[..] else {
-        return usage();
-    };
-    let bytes = std::fs::read(input)?;
+fn cmd_brisc_info(a: Args) -> Result<ExitCode, AnyError> {
+    let bytes = std::fs::read(a.input()?)?;
     let image = BriscImage::from_bytes(&bytes)?;
     outln!(
         "brisc image: {} bytes total, {} code bytes",
@@ -1003,44 +925,15 @@ fn save_reproducers(target: &str, seed: u64, r: &CampaignReport) -> Result<(), A
     Ok(())
 }
 
-fn cmd_fuzz(args: &[String]) -> Result<ExitCode, AnyError> {
-    let mut target = "all";
-    let mut cases: u64 = 2000;
-    let mut seed: u64 = 1;
-    let mut blind = false;
-    let mut save_repros = false;
-    let mut max_input: usize = 1 << 16;
-    let mut rounds: u64 = 1;
-    let mut it = args.iter().map(String::as_str);
-    while let Some(a) = it.next() {
-        match a {
-            "--target" => target = it.next().ok_or("--target needs a value")?,
-            "--cases" => {
-                cases = parse_size("--cases", it.next().ok_or("--cases needs a value")?)?;
-            }
-            "--rounds" => {
-                let v = it.next().ok_or("--rounds needs a value")?;
-                rounds = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--rounds expects an integer, got {v:?}"))?
-                    .max(1);
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed expects an integer, got {v:?}"))?;
-            }
-            "--blind" => blind = true,
-            "--save-repros" => save_repros = true,
-            "--max-input" => {
-                max_input =
-                    parse_size("--max-input", it.next().ok_or("--max-input needs a value")?)?
-                        as usize;
-            }
-            other => return Err(format!("fuzz: unknown argument {other:?}").into()),
-        }
-    }
+fn cmd_fuzz(mut a: Args) -> Result<ExitCode, AnyError> {
+    let target = a.string("--target")?.unwrap_or_else(|| "all".into());
+    let cases = a.size("--cases")?.unwrap_or(2000);
+    let seed = a.int("--seed")?.unwrap_or(1);
+    let rounds = a.size("--rounds")?.unwrap_or(1).max(1);
+    let blind = a.switch("--blind");
+    let save_repros = a.switch("--save-repros");
+    let max_input = a.size("--max-input")?.unwrap_or(1 << 16) as usize;
+    a.positionals(0..=0)?;
     if !coverage::enabled() {
         eprintln!(
             "note: built without the `coverage` feature; edge counts read 0 and guided \
@@ -1064,7 +957,7 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, AnyError> {
     let names: Vec<&str> = if target == "all" {
         vec!["wire", "gzip", "demand", "brisc"]
     } else {
-        vec![target]
+        vec![target.as_str()]
     };
     let mut findings_total = 0usize;
     for name in names {
@@ -1136,78 +1029,33 @@ fn merged_corpus() -> Result<Module, AnyError> {
     Ok(merged)
 }
 
-fn cmd_serve_sim(args: &[String]) -> Result<ExitCode, AnyError> {
+fn cmd_serve_sim(mut a: Args) -> Result<ExitCode, AnyError> {
     let mut cfg = SoakConfig::default();
-    let mut corrupt: usize = 0;
-    let mut input: Option<&str> = None;
-    let mut metrics_interval: Option<u64> = None;
-    let mut metrics_stream: Option<&str> = None;
-    let mut it = args.iter().map(String::as_str);
-    while let Some(a) = it.next() {
-        match a {
-            "--metrics-interval" => {
-                let v = it.next().ok_or("--metrics-interval needs a value (virtual ms)")?;
-                metrics_interval = Some(parse_size("--metrics-interval", v)?.max(1));
-            }
-            "--metrics-stream" => {
-                metrics_stream = Some(it.next().ok_or("--metrics-stream needs a path")?);
-            }
-            "--clients" => {
-                let v = it.next().ok_or("--clients needs a value")?;
-                cfg.clients = parse_size("--clients", v)? as usize;
-            }
-            "--requests" => {
-                let v = it.next().ok_or("--requests needs a value")?;
-                cfg.requests_per_client = parse_size("--requests", v)?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                cfg.seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed expects an integer, got {v:?}"))?;
-            }
-            "--fault-rate" => {
-                let v = it.next().ok_or("--fault-rate needs a value")?;
-                (cfg.fault_num, cfg.fault_den) = parse_ratio("--fault-rate", v)?;
-            }
-            "--corrupt" => {
-                let v = it.next().ok_or("--corrupt needs a value")?;
-                corrupt = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--corrupt expects an integer, got {v:?}"))?;
-            }
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a value")?;
-                cfg.workers = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--workers expects an integer, got {v:?}"))?
-                    .max(1);
-            }
-            "--cache" => {
-                let v = it.next().ok_or("--cache needs a value")?;
-                cfg.server.max_cache_bytes = parse_size("--cache", v)?;
-            }
-            "--channels" => {
-                let v = it.next().ok_or("--channels needs a value")?;
-                cfg.channels = v
-                    .split(',')
-                    .map(|s| match s.trim() {
-                        "modem" => Ok(ChannelKind::Modem),
-                        "lan" => Ok(ChannelKind::Lan),
-                        "disk" => Ok(ChannelKind::Disk),
-                        other => {
-                            Err(format!("--channels: unknown channel {other:?} (modem|lan|disk)"))
-                        }
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            other if !other.starts_with('-') && input.is_none() => input = Some(other),
-            other => return Err(format!("serve-sim: unknown argument {other:?}").into()),
-        }
+    let metrics_interval = a.size("--metrics-interval")?.map(|ms| ms.max(1));
+    let metrics_stream = a.string("--metrics-stream")?;
+    cfg.clients = a.size("--clients")?.map_or(cfg.clients, |n| n as usize);
+    cfg.requests_per_client = a.size("--requests")?.unwrap_or(cfg.requests_per_client);
+    cfg.seed = a.int("--seed")?.unwrap_or(cfg.seed);
+    if let Some(rate) = a.string("--fault-rate")? {
+        (cfg.fault_num, cfg.fault_den) = parse_ratio("--fault-rate", &rate)?;
+    }
+    let corrupt = a.size("--corrupt")?.unwrap_or(0) as usize;
+    cfg.workers = a.size("--workers")?.map_or(cfg.workers, |n| (n as usize).max(1));
+    cfg.server.max_cache_bytes = a.size("--cache")?.unwrap_or(cfg.server.max_cache_bytes);
+    if let Some(channels) = a.string("--channels")? {
+        cfg.channels = channels
+            .split(',')
+            .map(|s| match s.trim() {
+                "modem" => Ok(ChannelKind::Modem),
+                "lan" => Ok(ChannelKind::Lan),
+                "disk" => Ok(ChannelKind::Disk),
+                other => Err(format!("--channels: unknown channel {other:?} (modem|lan|disk)")),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
     }
 
-    let module = match input {
-        Some(path) => load_module(path)?,
+    let module = match a.positionals(0..=1)?.pop() {
+        Some(path) => load_module(&path)?,
         None => merged_corpus()?,
     };
     let image = DemandImage::build(&module, WireOptions::default())?;
@@ -1247,7 +1095,7 @@ fn cmd_serve_sim(args: &[String]) -> Result<ExitCode, AnyError> {
         let stream = obs.stream_lines.join("\n") + "\n";
         match metrics_stream {
             Some(path) => {
-                std::fs::write(path, &stream)?;
+                std::fs::write(&path, &stream)?;
                 outln!("wrote metric stream: {path} ({} samples)", obs.stream_lines.len())?;
             }
             None => out!("{stream}")?,

@@ -103,6 +103,43 @@ fn cli_errors_are_reported() {
 
     let (_, _, ok) = run(&["run", "bad.c", "--tier", "warp"], &dir);
     assert!(!ok);
+
+    // A flag the command does not take fails by name.
+    std::fs::write(dir.join("t.c"), SOURCE).unwrap();
+    for (args, named) in [
+        (&["compile", "t.c", "--fuel", "5"][..], "--fuel"),
+        (&["wire", "pack", "t.c", "--tier", "warp"][..], "--tier"),
+        (&["run", "t.c", "--teir", "jit"][..], "--teir"),
+    ] {
+        let (_, stderr, ok) = run(args, &dir);
+        assert!(!ok, "{args:?} must fail");
+        assert!(
+            stderr.contains(&format!("unknown argument \"{named}\"")),
+            "{args:?}: {stderr}"
+        );
+    }
+
+    // A BRISC image runs on the brisc tier only.
+    let (_, stderr, ok) = run(&["brisc", "pack", "t.c"], &dir);
+    assert!(ok, "brisc pack failed: {stderr}");
+    let (_, stderr, ok) = run(&["run", "t.ccbr", "--tier", "warp"], &dir);
+    assert!(!ok);
+    assert!(stderr.contains("warp") && stderr.contains("brisc tier"), "{stderr}");
+    let (stdout, stderr, ok) = run(&["run", "t.ccbr", "--tier", "brisc"], &dir);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("=> 42"), "{stdout}");
+
+    // Help is not an error; no command is.
+    for help in ["help", "--help", "-h"] {
+        let (stdout, stderr, ok) = run(&[help], &dir);
+        assert!(ok, "{help}: {stderr}");
+        assert!(stdout.starts_with("usage:"), "{help}: {stdout}");
+        let brisc_run = stdout.lines().find(|l| l.contains("codecomp brisc run")).unwrap();
+        assert!(brisc_run.contains("--max-resident"), "{brisc_run}");
+    }
+    let (stdout, stderr, ok) = run(&[], &dir);
+    assert!(!ok);
+    assert!(stdout.is_empty() && stderr.contains("usage:"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -150,6 +187,12 @@ fn cli_size_suffixes_and_decode_limits() {
     );
     assert!(ok, "generous brisc limits failed: {stderr}");
     assert!(stdout.contains("=> 42"), "{stdout}");
+
+    // Every count flag takes the suffixes, not only the byte sizes.
+    let fuzz = ["fuzz", "--target", "gzip", "--cases", "1", "--rounds", "1k"];
+    let (stdout, stderr, ok) = run(&fuzz, &dir);
+    assert!(ok, "suffixed --rounds failed: {stderr}");
+    assert!(stdout.contains("union over 1024 rounds"), "{stdout}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -303,6 +346,11 @@ fn cli_telemetry_flags() {
     assert!(
         stderr.contains("wire.patterns.table_cache.misses"),
         "pattern cache counters missing from --stats: {stderr}"
+    );
+    // Every recorded counter is listed, not only a hand-picked few.
+    assert!(
+        stderr.contains("wire.decode.table_entries"),
+        "decode counters missing from --stats: {stderr}"
     );
     for row in ["stage times:", "cmd.wire", "wire.decompress", "wire.decode.join"] {
         assert!(stderr.contains(row), "stage times missing {row}: {stderr}");
