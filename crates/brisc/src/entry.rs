@@ -1,7 +1,6 @@
 //! Dictionary entries: instruction patterns with burned and wildcard fields.
 
-use crate::BriscError;
-use codecomp_vm::encode::{canonical_instance, fields, BaseOp, Field};
+use codecomp_vm::encode::{canonical_instance, fields, set_field, BaseOp, Field};
 use codecomp_vm::isa::Inst;
 
 /// How a wildcard immediate field is transmitted.
@@ -35,6 +34,17 @@ impl ImmEnc {
             ImmEnc::I8 => (-128..=127).contains(&v),
             ImmEnc::I16 => (-32_768..=32_767).contains(&v),
             ImmEnc::I32 => true,
+        }
+    }
+
+    /// The value whose transmitted bits are `raw` (the inverse of how
+    /// [`crate::image`] writes a wildcard immediate).
+    pub fn decode(self, raw: u64) -> i32 {
+        match self {
+            ImmEnc::X4 => raw as i32 * 4,
+            ImmEnc::I8 => i32::from(raw as u8 as i8),
+            ImmEnc::I16 => i32::from(raw as u16 as i16),
+            ImmEnc::I32 => raw as i32,
         }
     }
 
@@ -72,6 +82,39 @@ impl FieldKind {
             FieldKind::Target | FieldKind::Func => 16,
         }
     }
+
+    /// Whether a wildcard of this kind can fill a field shaped like `f`.
+    fn fits(self, f: &Field) -> bool {
+        matches!(
+            (self, f),
+            (FieldKind::Reg, Field::Reg(_))
+                | (FieldKind::Imm(_), Field::Imm(_))
+                | (FieldKind::Target, Field::Target(_))
+                | (FieldKind::Func, Field::Func(_))
+        )
+    }
+}
+
+/// How one pattern decodes (see [`InstPattern::plan`]).
+#[derive(Debug, Clone)]
+pub(crate) struct PatternPlan {
+    /// The instruction with burned fields in place and wildcards zeroed.
+    pub template: Inst,
+    /// `(kind, canonical field slot)` per wildcard, in transmission order.
+    pub wildcards: Vec<(FieldKind, usize)>,
+}
+
+/// How one dictionary entry decodes (see [`DictEntry::plan`]).
+#[derive(Debug, Clone)]
+pub(crate) struct EntryPlan {
+    /// Per-component plans; empty when `shape_error` is set.
+    pub patterns: Vec<PatternPlan>,
+    /// Operand bytes per encoded instance.
+    pub operand_bytes: usize,
+    /// Whether the last component ends a basic block.
+    pub ends_block: bool,
+    /// Why the entry cannot decode, when it cannot.
+    pub shape_error: Option<String>,
 }
 
 /// One field position in a pattern: burned to a value, or wildcard.
@@ -150,28 +193,38 @@ impl InstPattern {
             .collect()
     }
 
-    /// Rebuilds an instruction from wildcard values (consumed in order).
+    /// How this pattern decodes: its instruction with every burned field
+    /// in place, and the canonical field slot each wildcard, in
+    /// transmission order, is stored into.
     ///
     /// # Errors
     ///
-    /// [`BriscError::Corrupt`] when values run short or mismatch.
-    pub fn instantiate(
-        &self,
-        values: &mut impl Iterator<Item = Field>,
-    ) -> Result<Inst, BriscError> {
-        let mut full = Vec::with_capacity(self.fields.len());
-        for p in &self.fields {
-            match p {
-                PatternField::Burned(f) => full.push(f.clone()),
-                PatternField::Wildcard(_) => full.push(
-                    values
-                        .next()
-                        .ok_or_else(|| BriscError::Corrupt("operand underflow".into()))?,
-                ),
+    /// A description of the mismatch when the fields do not fit the base
+    /// instruction: the wrong count, a wildcard or burned value of the
+    /// wrong kind, or a burned branch target or function reference
+    /// (which the image format cannot carry).
+    pub(crate) fn plan(&self) -> Result<PatternPlan, String> {
+        let mut template = canonical_instance(self.base);
+        let shape = fields(&template);
+        let mismatch = || format!("field shape mismatch for {:?}: {:?}", self.base, self.fields);
+        if shape.len() != self.fields.len() {
+            return Err(mismatch());
+        }
+        let mut wildcards = Vec::new();
+        for (slot, (p, s)) in self.fields.iter().zip(&shape).enumerate() {
+            match (p, s) {
+                (PatternField::Wildcard(kind), _) if kind.fits(s) => wildcards.push((*kind, slot)),
+                (PatternField::Burned(f @ Field::Reg(_)), Field::Reg(_))
+                | (PatternField::Burned(f @ Field::Imm(_)), Field::Imm(_)) => {
+                    set_field(&mut template, slot, f.clone());
+                }
+                _ => return Err(mismatch()),
             }
         }
-        codecomp_vm::encode::rebuild(self.base, &full)
-            .map_err(|e| BriscError::Corrupt(e.to_string()))
+        Ok(PatternPlan {
+            template,
+            wildcards,
+        })
     }
 
     /// Number of wildcard fields.
@@ -273,6 +326,31 @@ impl DictEntry {
         1 + (self.wildcard_bits() as usize).div_ceil(8)
     }
 
+    /// How this entry decodes. An entry with no patterns or more than
+    /// [`MAX_ENTRY_PATTERNS`], or with a pattern whose fields do not fit
+    /// its instruction, still frames (its operand byte count is known)
+    /// but records why it cannot decode.
+    pub(crate) fn plan(&self) -> EntryPlan {
+        let n = self.patterns.len();
+        let plans = if (1..=MAX_ENTRY_PATTERNS).contains(&n) {
+            self.patterns.iter().map(InstPattern::plan).collect()
+        } else {
+            Err(format!("bad pattern count {n}"))
+        };
+        let (patterns, shape_error) = match plans {
+            Ok(p) => (p, None),
+            Err(e) => (Vec::new(), Some(e)),
+        };
+        EntryPlan {
+            ends_block: patterns
+                .last()
+                .is_some_and(|p: &PatternPlan| p.template.ends_block()),
+            operand_bytes: (self.wildcard_bits() as usize).div_ceil(8),
+            patterns,
+            shape_error,
+        }
+    }
+
     /// Serialized dictionary-transmission size in bytes (the `P` cost
     /// term "minus the number of bytes needed to represent the
     /// instruction pattern in the dictionary").
@@ -363,8 +441,42 @@ mod tests {
         assert_eq!(vals[1], Field::Imm(4));
         assert_eq!(vals[2], Field::Reg(Reg::SP));
         // Rebuild.
-        let mut iter = vals.into_iter();
-        assert_eq!(pat.instantiate(&mut iter).unwrap(), ld);
+        assert_eq!(codecomp_vm::encode::rebuild(pat.base, &vals).unwrap(), ld);
+    }
+
+    #[test]
+    fn plans_reject_fields_that_do_not_fit() {
+        let ld = inst("ld.iw n0,4(sp)");
+        let mut pat = InstPattern::base_of(&ld);
+        pat.fields[2] = PatternField::Burned(Field::Reg(Reg::SP));
+        let plan = pat.plan().unwrap();
+        assert_eq!(plan.template, inst("ld.iw n0,0(sp)"));
+        assert_eq!(
+            plan.wildcards,
+            vec![(FieldKind::Reg, 0), (FieldKind::Imm(ImmEnc::I8), 1)]
+        );
+        for bad in [
+            PatternField::Wildcard(FieldKind::Reg),
+            PatternField::Burned(Field::Reg(Reg::SP)),
+            PatternField::Burned(Field::Target(0)),
+        ] {
+            let mut p = pat.clone();
+            p.fields[1] = bad;
+            assert!(p.plan().is_err(), "{p}");
+        }
+        let mut short = pat.clone();
+        short.fields.pop();
+        assert!(short.plan().is_err());
+        for n in [0, MAX_ENTRY_PATTERNS + 1] {
+            let e = DictEntry {
+                patterns: vec![pat.clone(); n],
+            }
+            .plan();
+            assert!(e.shape_error.is_some() && e.patterns.is_empty(), "{n}");
+        }
+        let e = DictEntry::single(pat).plan();
+        assert_eq!((e.operand_bytes, e.ends_block), (2, false));
+        assert!(e.shape_error.is_none());
     }
 
     #[test]

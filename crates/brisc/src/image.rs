@@ -9,13 +9,15 @@
 //! offsets, so the code is randomly addressable at basic-block
 //! granularity — the property that makes in-place interpretation work.
 
-use crate::entry::{DictEntry, FieldKind, ImmEnc, InstPattern, PatternField, MAX_ENTRY_PATTERNS};
-use crate::markov::{MarkovTables, BLOCK_START};
+use crate::entry::{
+    DictEntry, EntryPlan, FieldKind, ImmEnc, InstPattern, PatternField, MAX_ENTRY_PATTERNS,
+};
+use crate::markov::{decode_in_row, MarkovTables, BLOCK_START};
 use crate::BriscError;
 use codecomp_coding::bits::{BitReader, BitWriter};
 use codecomp_core::cov_hit;
-use codecomp_vm::encode::{BaseOp, Field};
-use codecomp_vm::isa::Inst;
+use codecomp_vm::encode::{set_field, BaseOp, Field};
+use codecomp_vm::isa::{FuncRef, Inst};
 use codecomp_vm::program::VmGlobal;
 use codecomp_vm::reg::Reg;
 use std::collections::HashMap;
@@ -101,22 +103,18 @@ pub struct DecodedItem {
 }
 
 impl BriscImage {
-    /// The context actually used at decode time (collapses to the
-    /// block-start context under the order-0 ablation).
-    pub fn effective_ctx(&self, ctx: u32) -> u32 {
-        if self.order0 {
-            BLOCK_START
-        } else {
-            ctx
-        }
-    }
-
-    /// The function whose code contains global offset `pos`.
+    /// The function whose code contains global offset `pos`: a binary
+    /// search over function starts, exact because the function table is
+    /// in ascending, non-overlapping code order (as [`assemble`] lays it
+    /// out and [`Self::from_bytes`] checks).
     pub fn function_at(&self, pos: usize) -> Option<usize> {
         let pos = pos as u64;
-        self.functions
-            .iter()
-            .position(|f| pos >= u64::from(f.start) && pos < u64::from(f.start) + u64::from(f.len))
+        let i = self
+            .functions
+            .partition_point(|f| u64::from(f.start) <= pos)
+            .checked_sub(1)?;
+        let f = &self.functions[i];
+        (pos < u64::from(f.start) + u64::from(f.len)).then_some(i)
     }
 
     /// Finds a function index by name.
@@ -144,41 +142,20 @@ impl BriscImage {
     }
 
     /// Decodes the item at global offset `pos` in Markov context `ctx`.
+    /// Builds a [`DecodeView`] for the one item; loops should build the
+    /// view once and call [`DecodeView::decode`].
     ///
     /// # Errors
     ///
     /// [`BriscError::Corrupt`] on invalid opcodes or truncation.
     pub fn decode_at(&self, pos: usize, ctx: u32) -> Result<DecodedItem, BriscError> {
-        let mut cursor = pos;
-        let ctx = self.effective_ctx(ctx);
-        let entry_id = self.markov.decode_opcode(ctx, &self.code, &mut cursor)?;
-        let Some(entry) = self.dictionary.get(entry_id as usize) else {
-            cov_hit!("brisc.decode.bad_entry_id");
-            return Err(BriscError::Corrupt(format!("bad entry id {entry_id}")));
-        };
-        let operand_bytes = (entry.wildcard_bits() as usize).div_ceil(8);
-        let Some(operand_slice) = self.code.get(cursor..cursor + operand_bytes) else {
-            cov_hit!("brisc.decode.operand_overrun");
-            return Err(BriscError::Corrupt("operands past end of code".into()));
-        };
-        let mut bits = BitReader::new(operand_slice);
-        let mut values = Vec::new();
-        for p in &entry.patterns {
-            for f in &p.fields {
-                if let PatternField::Wildcard(kind) = f {
-                    values.push(self.read_field(*kind, &mut bits)?);
-                }
-            }
-        }
-        let mut iter = values.into_iter();
-        let mut insts = Vec::with_capacity(entry.patterns.len());
-        for p in &entry.patterns {
-            insts.push(p.instantiate(&mut iter)?);
-        }
+        let view = DecodeView::new(self);
+        let mut item = ItemBuf::default();
+        view.decode(pos, ctx, &mut item)?;
         Ok(DecodedItem {
-            entry: entry_id,
-            insts,
-            size: cursor - pos + operand_bytes,
+            entry: item.entry,
+            insts: view.named(&item).collect(),
+            size: item.size,
         })
     }
 
@@ -195,58 +172,196 @@ impl BriscImage {
         idx: usize,
         budget: &codecomp_core::Budget,
     ) -> Result<(), BriscError> {
-        let f = self
-            .functions
-            .get(idx)
-            .ok_or_else(|| BriscError::Corrupt(format!("no function index {idx}")))?;
-        let mut pos = f.start as usize;
-        let end = pos + f.len as usize;
-        let mut ctx = BLOCK_START;
-        while pos < end {
-            budget.charge_fuel(1)?;
-            let local = (pos - f.start as usize) as u32;
-            let effective = if self.is_extra_leader(idx, local) {
-                BLOCK_START
-            } else {
-                ctx
-            };
-            let item = self.decode_at(pos, effective)?;
-            let last_ends = item.insts.last().is_some_and(Inst::ends_block);
-            ctx = if last_ends { BLOCK_START } else { item.entry };
-            pos += item.size;
+        DecodeView::new(self).walk(idx, budget, |_, _| {})
+    }
+}
+
+/// The one BRISC item decoder, borrowed over an image: the inverse of
+/// [`assemble`] that [`BriscImage::decode_at`], validation scans,
+/// [`crate::translate`] and the interpreter all go through.
+///
+/// Built once per user, it holds what each item decode would otherwise
+/// recompute: the Markov successor rows as a slice indexed by context
+/// entry id plus the block-start row, and each dictionary entry's plan
+/// (its operand byte count and per-component instruction templates
+/// with burned fields in place). Every item is still read from the
+/// compressed bytes; nothing decoded is cached.
+#[derive(Debug)]
+pub struct DecodeView<'a> {
+    image: &'a BriscImage,
+    /// Successor rows by context entry id.
+    rows: Vec<&'a [u32]>,
+    /// The block-start context's successor row.
+    block_start: &'a [u32],
+    /// Decode plan per dictionary entry.
+    plans: Vec<EntryPlan>,
+}
+
+/// One decoded item, in a caller-owned buffer reused from item to item.
+#[derive(Debug, Clone, Default)]
+pub struct ItemBuf {
+    /// Dictionary entry index.
+    pub entry: u32,
+    /// Encoded size in bytes.
+    pub size: usize,
+    /// Whether the last instruction ends a basic block.
+    pub ends_block: bool,
+    insts: Vec<Inst>,
+    func_refs: [u16; MAX_ENTRY_PATTERNS],
+}
+
+impl ItemBuf {
+    /// The expanded instructions; branch targets are local byte offsets.
+    /// A call's symbol is left empty: its target is [`Self::func_ref`]
+    /// (see [`DecodeView::named`]).
+    pub fn insts(&self) -> &[Inst] {
+        &self.insts
+    }
+
+    /// The function-table reference of the call at position `i` (at or
+    /// above [`HOST_FUNC_BASE`], a host function); meaningless for other
+    /// instructions.
+    pub fn func_ref(&self, i: usize) -> u16 {
+        self.func_refs[i]
+    }
+}
+
+impl<'a> DecodeView<'a> {
+    /// Builds the view: one successor-row lookup per context and one plan
+    /// per dictionary entry.
+    pub fn new(image: &'a BriscImage) -> Self {
+        let plans: Vec<EntryPlan> = image.dictionary.iter().map(DictEntry::plan).collect();
+        Self {
+            rows: (0..plans.len() as u32)
+                .map(|ctx| image.markov.successors(ctx))
+                .collect(),
+            block_start: image.markov.successors(BLOCK_START),
+            plans,
+            image,
         }
+    }
+
+    /// Decodes the item at global offset `pos` in Markov context `ctx`
+    /// into `item`, writing each operand into its instruction in place.
+    ///
+    /// # Errors
+    ///
+    /// [`BriscError::Corrupt`] on invalid opcodes, truncation, bad
+    /// function references, or an entry whose fields do not fit its
+    /// instructions.
+    pub fn decode(&self, pos: usize, ctx: u32, item: &mut ItemBuf) -> Result<(), BriscError> {
+        let code = &self.image.code;
+        let (row, ctx) = if self.image.order0 || ctx == BLOCK_START {
+            (self.block_start, BLOCK_START)
+        } else {
+            (self.rows.get(ctx as usize).copied().unwrap_or_default(), ctx)
+        };
+        let mut cursor = pos;
+        let entry_id = decode_in_row(row, ctx, code, &mut cursor)?;
+        let Some(plan) = self.plans.get(entry_id as usize) else {
+            cov_hit!("brisc.decode.bad_entry_id");
+            return Err(BriscError::Corrupt(format!("bad entry id {entry_id}")));
+        };
+        let Some(operands) = code.get(cursor..cursor + plan.operand_bytes) else {
+            cov_hit!("brisc.decode.operand_overrun");
+            return Err(BriscError::Corrupt("operands past end of code".into()));
+        };
+        if let Some(e) = &plan.shape_error {
+            return Err(BriscError::Corrupt(e.clone()));
+        }
+        let mut bits = BitReader::new(operands);
+        item.insts.clear();
+        for (i, p) in plan.patterns.iter().enumerate() {
+            item.insts.push(p.template.clone());
+            let inst = &mut item.insts[i];
+            for &(kind, slot) in &p.wildcards {
+                let raw = bits
+                    .read_bits(kind.bits() as u8)
+                    .map_err(|_| BriscError::Corrupt("operand bits truncated".into()))?;
+                match kind {
+                    FieldKind::Reg => set_field(inst, slot, Field::Reg(Reg::new(raw as u8))),
+                    FieldKind::Imm(enc) => set_field(inst, slot, Field::Imm(enc.decode(raw))),
+                    FieldKind::Target => set_field(inst, slot, Field::Target(raw as u32)),
+                    FieldKind::Func => item.func_refs[i] = self.func_ref(raw as u16)?,
+                }
+            }
+        }
+        item.entry = entry_id;
+        item.size = cursor - pos + plan.operand_bytes;
+        item.ends_block = plan.ends_block;
         Ok(())
     }
 
-    fn read_field(&self, kind: FieldKind, bits: &mut BitReader<'_>) -> Result<Field, BriscError> {
-        let eof = |_| BriscError::Corrupt("operand bits truncated".into());
-        Ok(match kind {
-            FieldKind::Reg => Field::Reg(Reg::new(bits.read_bits(4).map_err(eof)? as u8)),
-            FieldKind::Imm(ImmEnc::X4) => Field::Imm(bits.read_bits(4).map_err(eof)? as i32 * 4),
-            FieldKind::Imm(ImmEnc::I8) => {
-                Field::Imm(i32::from(bits.read_bits(8).map_err(eof)? as u8 as i8))
+    /// Checks a transmitted function reference against the function
+    /// table and the host functions.
+    fn func_ref(&self, r: u16) -> Result<u16, BriscError> {
+        if r >= HOST_FUNC_BASE {
+            if usize::from(r - HOST_FUNC_BASE) >= codecomp_ir::eval::HOST_FUNCTIONS.len() {
+                return Err(BriscError::Corrupt("bad host index".into()));
             }
-            FieldKind::Imm(ImmEnc::I16) => {
-                Field::Imm(i32::from(bits.read_bits(16).map_err(eof)? as u16 as i16))
-            }
-            FieldKind::Imm(ImmEnc::I32) => Field::Imm(bits.read_bits(32).map_err(eof)? as i32),
-            FieldKind::Target => Field::Target(bits.read_bits(16).map_err(eof)? as u32),
-            FieldKind::Func => {
-                let idx = bits.read_bits(16).map_err(eof)? as u16;
-                let name = if idx >= HOST_FUNC_BASE {
-                    codecomp_ir::eval::HOST_FUNCTIONS
-                        .get(usize::from(idx - HOST_FUNC_BASE))
-                        .map(|s| s.to_string())
-                        .ok_or_else(|| BriscError::Corrupt("bad host index".into()))?
+        } else if usize::from(r) >= self.image.functions.len() {
+            return Err(BriscError::Corrupt("bad function index".into()));
+        }
+        Ok(r)
+    }
+
+    /// The decoded instructions of `item` with each call's symbol filled
+    /// in from its function reference.
+    pub fn named<'b>(&'b self, item: &'b ItemBuf) -> impl Iterator<Item = Inst> + 'b {
+        item.insts.iter().enumerate().map(|(i, inst)| match inst {
+            Inst::Call { .. } => {
+                let r = item.func_refs[i];
+                let name = if r >= HOST_FUNC_BASE {
+                    codecomp_ir::eval::HOST_FUNCTIONS[usize::from(r - HOST_FUNC_BASE)]
                 } else {
-                    self.functions
-                        .get(usize::from(idx))
-                        .map(|f| f.name.clone())
-                        .ok_or_else(|| BriscError::Corrupt("bad function index".into()))?
+                    &self.image.functions[usize::from(r)].name
                 };
-                Field::Func(name)
+                Inst::Call {
+                    target: FuncRef::Symbol(name.to_string()),
+                }
             }
+            other => other.clone(),
         })
+    }
+
+    /// Decodes function `idx`'s body linearly, charging one fuel step
+    /// per item and handing `f` each item with its local byte offset.
+    ///
+    /// # Errors
+    ///
+    /// [`BriscError::Corrupt`] if any item fails to decode,
+    /// [`BriscError::Limit`] when `budget` trips.
+    pub fn walk(
+        &self,
+        idx: usize,
+        budget: &codecomp_core::Budget,
+        mut f: impl FnMut(u32, &ItemBuf),
+    ) -> Result<(), BriscError> {
+        let func = self
+            .image
+            .functions
+            .get(idx)
+            .ok_or_else(|| BriscError::Corrupt(format!("no function index {idx}")))?;
+        let start = func.start as usize;
+        let end = start + func.len as usize;
+        let mut item = ItemBuf::default();
+        let (mut pos, mut ctx) = (start, BLOCK_START);
+        while pos < end {
+            budget.charge_fuel(1)?;
+            let local = (pos - start) as u32;
+            if self.image.is_extra_leader(idx, local) {
+                ctx = BLOCK_START;
+            }
+            self.decode(pos, ctx, &mut item)?;
+            f(local, &item);
+            ctx = if item.ends_block {
+                BLOCK_START
+            } else {
+                item.entry
+            };
+            pos += item.size;
+        }
+        Ok(())
     }
 }
 
@@ -836,6 +951,18 @@ impl BriscImage {
                 )));
             }
         }
+        // Binary search over function starts (`function_at`) resolves a
+        // pc the way a first-match scan would only in ascending,
+        // non-overlapping code order — the order `assemble` lays out.
+        for w in functions.windows(2) {
+            if u64::from(w[0].start) + u64::from(w[0].len) > u64::from(w[1].start) {
+                cov_hit!("brisc.image.functions_out_of_order");
+                return Err(BriscError::Corrupt(format!(
+                    "function {} overlaps or follows function {}",
+                    w[0].name, w[1].name
+                )));
+            }
+        }
         cov_hit!("brisc.image.load_ok");
         codecomp_core::telemetry::gauge_set(
             "brisc.dictionary_entries",
@@ -981,6 +1108,43 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'Y';
         assert!(BriscImage::from_bytes(&bad).is_err());
+    }
+
+    #[test]
+    fn function_table_out_of_code_order_rejected() {
+        // Split tiny_image's one function into two at byte 2 and forge
+        // the table: in code order it loads; swapped or overlapping, a
+        // binary search over starts would disagree with a first-match
+        // scan, so it is Corrupt.
+        let img = tiny_image();
+        let main = img.functions[0].clone();
+        let with_table = |spans: [(u32, u32); 2]| {
+            let mut forged = img.clone();
+            forged.functions = spans
+                .iter()
+                .zip(["f", "g"])
+                .map(|(&(start, len), name)| BriscFunction {
+                    name: name.into(),
+                    start,
+                    len,
+                    ..main.clone()
+                })
+                .collect();
+            BriscImage::from_bytes(&forged.to_bytes())
+        };
+        let (start, len) = (main.start, main.len);
+        let back = with_table([(start, 2), (start + 2, len - 2)]).unwrap();
+        assert_eq!(back.function_at(start as usize + 2), Some(1));
+        for spans in [
+            [(start + 2, len - 2), (start, 2)],
+            [(start, len), (start + 1, len - 1)],
+        ] {
+            let err = with_table(spans).unwrap_err();
+            assert!(
+                matches!(&err, BriscError::Corrupt(m) if m.contains("overlaps")),
+                "{spans:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -121,23 +121,7 @@ impl MarkovTables {
         bytes: &[u8],
         pos: &mut usize,
     ) -> Result<u32, BriscError> {
-        let b = *bytes
-            .get(*pos)
-            .ok_or_else(|| BriscError::Corrupt("opcode past end of code".into()))?;
-        *pos += 1;
-        if self.escaped(ctx) && b == ESCAPE {
-            let lo = bytes.get(*pos).copied();
-            let hi = bytes.get(*pos + 1).copied();
-            *pos += 2;
-            let (Some(lo), Some(hi)) = (lo, hi) else {
-                return Err(BriscError::Corrupt("escape opcode truncated".into()));
-            };
-            return Ok(u32::from(u16::from_le_bytes([lo, hi])));
-        }
-        self.successors(ctx)
-            .get(usize::from(b))
-            .copied()
-            .ok_or_else(|| BriscError::Corrupt(format!("opcode {b} invalid in context {ctx}")))
+        decode_in_row(self.successors(ctx), ctx, bytes, pos)
     }
 
     /// Serialized size of the tables, charged to the program image.
@@ -155,6 +139,38 @@ impl MarkovTables {
     pub fn max_successors(&self) -> usize {
         self.contexts.values().map(Vec::len).max().unwrap_or(0)
     }
+}
+
+/// Decodes an opcode at `bytes[*pos..]` against `row`, the successor
+/// list of context `ctx` (named only in errors), advancing `pos`. The
+/// one opcode decoder: [`MarkovTables::decode_opcode`] and
+/// [`crate::image::DecodeView`] both call it.
+///
+/// # Errors
+///
+/// [`BriscError::Corrupt`] on truncation or invalid codes.
+pub(crate) fn decode_in_row(
+    row: &[u32],
+    ctx: u32,
+    bytes: &[u8],
+    pos: &mut usize,
+) -> Result<u32, BriscError> {
+    let b = *bytes
+        .get(*pos)
+        .ok_or_else(|| BriscError::Corrupt("opcode past end of code".into()))?;
+    *pos += 1;
+    if row.len() > usize::from(ESCAPE) && b == ESCAPE {
+        let lo = bytes.get(*pos).copied();
+        let hi = bytes.get(*pos + 1).copied();
+        *pos += 2;
+        let (Some(lo), Some(hi)) = (lo, hi) else {
+            return Err(BriscError::Corrupt("escape opcode truncated".into()));
+        };
+        return Ok(u32::from(u16::from_le_bytes([lo, hi])));
+    }
+    row.get(usize::from(b))
+        .copied()
+        .ok_or_else(|| BriscError::Corrupt(format!("opcode {b} invalid in context {ctx}")))
 }
 
 #[cfg(test)]

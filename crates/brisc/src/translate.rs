@@ -7,8 +7,7 @@
 //! x86-64 machine-code bytes whose output rate is the paper's
 //! "MB/sec of produced code" metric.
 
-use crate::image::BriscImage;
-use crate::markov::BLOCK_START;
+use crate::image::{BriscImage, DecodeView};
 use crate::BriscError;
 use codecomp_vm::isa::Inst;
 use codecomp_vm::program::{VmFunction, VmGlobal, VmProgram};
@@ -49,24 +48,15 @@ pub fn translate_budgeted(
             init: g.init.clone(),
         })
         .collect();
+    let view = DecodeView::new(image);
     for (fi, f) in image.functions.iter().enumerate() {
         // Pass 1: linear decode, collecting instructions and the branch
         // targets that need labels.
         let mut decoded: Vec<(u32, Vec<Inst>)> = Vec::new();
         let mut targets: BTreeSet<u32> = BTreeSet::new();
-        let mut pos = f.start as usize;
-        let end = (f.start + f.len) as usize;
-        let mut ctx = BLOCK_START;
-        while pos < end {
-            budget.charge_fuel(1)?;
-            let local = (pos - f.start as usize) as u32;
-            let effective = if image.is_extra_leader(fi, local) {
-                BLOCK_START
-            } else {
-                ctx
-            };
-            let item = image.decode_at(pos, effective)?;
-            for inst in &item.insts {
+        view.walk(fi, budget, |local, item| {
+            let insts: Vec<Inst> = view.named(item).collect();
+            for inst in &insts {
                 match inst {
                     Inst::Branch { target, .. }
                     | Inst::BranchImm { target, .. }
@@ -76,11 +66,8 @@ pub fn translate_budgeted(
                     _ => {}
                 }
             }
-            let last_ends = item.insts.last().is_some_and(Inst::ends_block);
-            decoded.push((local, item.insts));
-            ctx = if last_ends { BLOCK_START } else { item.entry };
-            pos += item.size;
-        }
+            decoded.push((local, insts));
+        })?;
         // Pass 2: emit with labels at target offsets.
         let mut vf = VmFunction::new(&f.name, f.param_count, f.frame_size);
         vf.saved_regs = f.saved_regs.clone();

@@ -431,6 +431,78 @@ pub fn rebuild(op: BaseOp, fs: &[Field]) -> Result<Inst, VmError> {
     })
 }
 
+/// Stores `f` into field `slot` of `inst`, in the order of [`fields`]:
+/// the one-field inverse of [`fields`], for filling an instruction
+/// template in place instead of going through [`rebuild`]. Fields the
+/// instruction does not hold are left alone: `enter`/`exit`'s two `sp`
+/// fields, which are transmitted but implied, and a value of the wrong
+/// kind for `slot`, which callers rule out by checking shapes first.
+pub fn set_field(inst: &mut Inst, slot: usize, f: Field) {
+    match (inst, slot, f) {
+        (
+            Inst::Li { rd, .. }
+            | Inst::Mov { rd, .. }
+            | Inst::Alu { rd, .. }
+            | Inst::AluImm { rd, .. }
+            | Inst::Neg { rd, .. }
+            | Inst::Not { rd, .. }
+            | Inst::Sext { rd, .. }
+            | Inst::Load { rd, .. }
+            | Inst::Reload { rd, .. }
+            | Inst::Bcopy { rd, .. }
+            | Inst::Bzero { rd, .. }
+            | Inst::Store { rs: rd, .. }
+            | Inst::Spill { rs: rd, .. }
+            | Inst::Branch { rs: rd, .. }
+            | Inst::BranchImm { rs: rd, .. }
+            | Inst::CallR { rs: rd }
+            | Inst::Rjr { rs: rd },
+            0,
+            Field::Reg(r),
+        )
+        | (
+            Inst::Mov { rs: rd, .. }
+            | Inst::Alu { rs: rd, .. }
+            | Inst::AluImm { rs: rd, .. }
+            | Inst::Neg { rs: rd, .. }
+            | Inst::Not { rs: rd, .. }
+            | Inst::Sext { rs: rd, .. }
+            | Inst::Bcopy { rs: rd, .. }
+            | Inst::Branch { rt: rd, .. }
+            | Inst::Bzero { rn: rd, .. },
+            1,
+            Field::Reg(r),
+        )
+        | (
+            Inst::Alu { rt: rd, .. }
+            | Inst::Load { base: rd, .. }
+            | Inst::Store { base: rd, .. }
+            | Inst::Bcopy { rn: rd, .. },
+            2,
+            Field::Reg(r),
+        ) => *rd = r,
+        (
+            Inst::Li { imm, .. }
+            | Inst::Load { off: imm, .. }
+            | Inst::Store { off: imm, .. }
+            | Inst::Spill { off: imm, .. }
+            | Inst::Reload { off: imm, .. }
+            | Inst::BranchImm { imm, .. },
+            1,
+            Field::Imm(v),
+        )
+        | (
+            Inst::AluImm { imm, .. } | Inst::Enter { amount: imm } | Inst::Exit { amount: imm },
+            2,
+            Field::Imm(v),
+        ) => *imm = v,
+        (Inst::Branch { target, .. } | Inst::BranchImm { target, .. }, 2, Field::Target(t))
+        | (Inst::Jump { target }, 0, Field::Target(t)) => *target = t,
+        (Inst::Call { target }, 0, Field::Func(name)) => *target = FuncRef::Symbol(name),
+        _ => {}
+    }
+}
+
 // ---- base byte encoding ------------------------------------------------
 
 #[allow(clippy::type_complexity)]
@@ -944,6 +1016,11 @@ mod tests {
             let inst = parse_inst(s, 1).unwrap();
             let op = base_op(&inst);
             let fs = fields(&inst);
+            let mut filled = canonical_instance(op);
+            for (slot, f) in fs.iter().enumerate() {
+                set_field(&mut filled, slot, f.clone());
+            }
+            assert_eq!(filled, inst, "set_field failed for {s}");
             let back = rebuild(op, &fs).unwrap();
             assert_eq!(back, inst, "field roundtrip failed for {s}");
         }

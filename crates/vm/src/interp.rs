@@ -10,6 +10,7 @@ use crate::program::{FlatProgram, VmProgram};
 use crate::reg::Reg;
 use crate::VmError;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Pseudo-address base for program functions (shared with the IR evaluator).
 pub const FUNC_BASE: u32 = 0x0100_0000;
@@ -38,7 +39,9 @@ pub struct RunOutcome {
 /// An executable machine instance over a linked program.
 #[derive(Debug)]
 pub struct Machine {
-    flat: FlatProgram,
+    /// Shared so `run` can execute instructions through a borrow of it
+    /// while the machine state changes.
+    flat: Arc<FlatProgram>,
     mem: Vec<u8>,
     global_addrs: HashMap<String, u32>,
     func_index: HashMap<String, usize>,
@@ -90,7 +93,7 @@ impl Machine {
             .collect();
         let exec_counts = vec![0u64; flat.code.len()];
         Ok(Self {
-            flat,
+            flat: Arc::new(flat),
             mem,
             global_addrs,
             func_index,
@@ -138,20 +141,20 @@ impl Machine {
             self.regs[i] = a;
         }
         self.set_reg(Reg::RA, i64::from(RA_BASE + DONE));
-        let mut pc = self.flat.ranges[entry_idx].0;
+        let flat = Arc::clone(&self.flat);
+        let mut pc = flat.ranges[entry_idx].0;
         self.calls += 1;
         loop {
             if self.fuel == 0 {
                 return Err(VmError::Exec("fuel exhausted".into()));
             }
             self.fuel -= 1;
-            if pc >= self.flat.code.len() {
+            let Some(inst) = flat.code.get(pc) else {
                 return Err(VmError::Exec(format!("pc {pc} out of code range")));
-            }
+            };
             self.instructions += 1;
             self.exec_counts[pc] += 1;
-            let inst = self.flat.code[pc].clone();
-            pc = match self.step(&inst, pc)? {
+            pc = match self.step(&flat, inst, pc)? {
                 Next::Fall => pc + 1,
                 Next::Goto(p) => p,
                 Next::Done => {
@@ -174,7 +177,7 @@ impl Machine {
         self.regs[usize::from(r.number())] = i64::from(v as i32);
     }
 
-    fn step(&mut self, inst: &Inst, pc: usize) -> Result<Next, VmError> {
+    fn step(&mut self, flat: &FlatProgram, inst: &Inst, pc: usize) -> Result<Next, VmError> {
         match inst {
             Inst::Li { rd, imm } => {
                 self.set_reg(*rd, i64::from(*imm));
@@ -294,27 +297,18 @@ impl Machine {
                 self.jump_addr(v)
             }
             Inst::Epi => {
-                let fidx = self
-                    .flat
+                let fidx = flat
                     .function_at(pc)
                     .ok_or_else(|| VmError::Exec("epi outside any function".into()))?;
-                let f = &self.flat.functions[fidx];
-                let frame = f.frame_size;
-                let saved = f.saved_regs.clone();
-                let ra_slot = f.ra_slot();
-                let slots: Vec<(Reg, i32)> = saved
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &r)| (r, f.saved_slot(i)))
-                    .collect();
+                let f = &flat.functions[fidx];
                 let sp = self.reg(Reg::SP) as u32;
-                for (r, slot) in slots {
-                    let v = self.load(sp.wrapping_add(slot as u32), MemWidth::Word)?;
+                for (i, &r) in f.saved_regs.iter().enumerate() {
+                    let v = self.load(sp.wrapping_add(f.saved_slot(i) as u32), MemWidth::Word)?;
                     self.set_reg(r, v);
                 }
-                let ra = self.load(sp.wrapping_add(ra_slot as u32), MemWidth::Word)?;
+                let ra = self.load(sp.wrapping_add(f.ra_slot() as u32), MemWidth::Word)?;
                 self.set_reg(Reg::RA, ra);
-                self.set_reg(Reg::SP, i64::from(sp) + i64::from(frame));
+                self.set_reg(Reg::SP, i64::from(sp) + i64::from(f.frame_size));
                 self.jump_addr(ra as u32)
             }
             Inst::Bcopy { rd, rs, rn } => {

@@ -260,9 +260,12 @@ impl FlatProgram {
         })
     }
 
-    /// The function whose code contains absolute index `pc`.
+    /// The function whose code contains absolute index `pc`: a binary
+    /// search over `ranges`, which [`Self::link`] lays out in ascending,
+    /// contiguous order.
     pub fn function_at(&self, pc: usize) -> Option<usize> {
-        self.ranges.iter().position(|&(s, e)| pc >= s && pc < e)
+        let i = self.ranges.partition_point(|&(s, _)| s <= pc).checked_sub(1)?;
+        (pc < self.ranges[i].1).then_some(i)
     }
 }
 

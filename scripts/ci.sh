@@ -61,7 +61,10 @@ if grep -q "WARNING" "$tdir/pack.err"; then
 fi
 "$bin" run "$tdir/smoke.ccwf" --trace="$tdir/run.jsonl" > /dev/null
 "$bin" brisc pack "$tdir/smoke.c" > /dev/null
-"$bin" brisc run "$tdir/smoke.ccbr" --trace="$tdir/brisc.jsonl" > /dev/null
+"$bin" brisc run "$tdir/smoke.ccbr" --stats --trace="$tdir/brisc.jsonl" \
+    > /dev/null 2> "$tdir/brisc.err"
+grep -q "brisc.interp.items_decoded" "$tdir/brisc.err"
+grep -q "brisc.interp.code_bytes_touched" "$tdir/brisc.err"
 for trace in "$tdir"/pack.jsonl "$tdir"/run.jsonl "$tdir"/brisc.jsonl; do
     "$bin" telemetry check "$trace"
 done

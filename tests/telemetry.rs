@@ -183,6 +183,16 @@ fn whole_pipeline_populates_metrics_and_trace() {
         after.counter("brisc.interp.fuel_consumed").unwrap()
             > before.counter("brisc.interp.fuel_consumed").unwrap_or(0)
     );
+    assert_eq!(
+        after.counter("brisc.interp.items_decoded").unwrap()
+            - before.counter("brisc.interp.items_decoded").unwrap_or(0),
+        outcome.items_decoded
+    );
+    assert_eq!(
+        after.counter("brisc.interp.code_bytes_touched").unwrap()
+            - before.counter("brisc.interp.code_bytes_touched").unwrap_or(0),
+        machine.touched_code_bytes() as u64
+    );
     assert!(after.gauge("brisc.dictionary_entries").unwrap() > 0);
 
     // Limit trips and fault mutations land in the trace.
